@@ -15,6 +15,7 @@ from bchnest.identities import (
     IdentityReport,
     REFERENCE_COUNTS,
     TABLE_MODES,
+    apply_regime,
     apply_rules,
     compact_bch_term,
     compact_reduce,
@@ -26,6 +27,7 @@ from bchnest.identities import (
     lifted_rules,
     relation_rules,
     rewrite_in_basis,
+    series_term,
     table_counts,
 )
 from bchnest.series import (
@@ -58,6 +60,7 @@ __all__ = [
     "REFERENCE_COUNTS",
     "Word",
     "ad_power",
+    "apply_regime",
     "apply_rules",
     "bch_term",
     "bch_term_dynkin",
@@ -81,6 +84,7 @@ __all__ = [
     "relation_rules",
     "rewrite_in_basis",
     "right_bracketing",
+    "series_term",
     "substitute",
     "symmetric_bch_term",
     "table_counts",

@@ -11,7 +11,8 @@ documents.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure (--verify
 cross-checks the permutation-sum series against the two independent oracle
-routes before printing and refuses to emit anything on a mismatch).
+routes at every grade up to the requested one before printing and refuses
+to emit anything on a mismatch), 3 the --output file cannot be written.
 """
 
 from __future__ import annotations
@@ -20,32 +21,24 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from bchnest import __version__
 from bchnest.identities import (
     REFERENCE_COUNTS,
+    TABLE_MODES,
     IdentityReport,
-    apply_rules,
-    compact_bch_term,
-    compact_reduce,
-    full_reduce,
     identities_and_basis,
     lifted_identities,
-    lifted_rules,
     relation_rules,
+    series_term,
     table_counts,
 )
-from bchnest.series import (
-    bch_term,
-    bch_term_dynkin,
-    log_product_words,
-    symmetric_bch_term,
-)
+from bchnest.series import bch_term, bch_term_dynkin, log_product_words
 from bchnest.terms import Leaves, LieExpr, expand_lie
 
 GRADE_CAP = 10
 GENERATORS = "XYZWVUTSRQ"
-REGIMES = ("none", "grade4", "grade6", "full", "compact")
 FORMATS = ("text", "json", "latex")
 TABLE_ROWS = ("dim", "none", "grade4", "grade6", "compact", "symmetric")
 
@@ -66,10 +59,6 @@ def _leaf_names(leaves: Leaves) -> list[str]:
     return [GENERATORS[i] for i in leaves]
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _bracket(leaves: Leaves, style: str = "nested") -> str:
     names = _leaf_names(leaves)
     if len(names) == 1:
@@ -82,14 +71,28 @@ def _bracket(leaves: Leaves, style: str = "nested") -> str:
     return out
 
 
-def _signed_join(pieces: list[tuple[Fraction, str]]) -> str:
+def _text_mag(mag: Fraction) -> str:
+    return "" if mag == 1 else f"{mag} "
+
+
+def _latex_mag(mag: Fraction) -> str:
+    if mag == 1:
+        return ""
+    if mag.denominator == 1:
+        return f"{mag.numerator}\\,"
+    return f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}\\,"
+
+
+def _signed_join(
+    pieces: list[tuple[Fraction, str]],
+    mag_str: Callable[[Fraction], str] = _text_mag,
+) -> str:
     """Join (coefficient, symbol) pieces into '+/-' separated text."""
     if not pieces:
         return "0"
     chunks = []
     for i, (c, sym) in enumerate(pieces):
-        mag = abs(c)
-        body = sym if mag == 1 else f"{_coeff_str(mag)} {sym}"
+        body = mag_str(abs(c)) + sym
         if i == 0:
             chunks.append(body if c > 0 else f"-{body}")
         else:
@@ -103,33 +106,18 @@ def series_text(expr: LieExpr, style: str = "nested") -> str:
     )
 
 
-def _latex_mag(mag: Fraction) -> str:
-    if mag == 1:
-        return ""
-    if mag.denominator == 1:
-        return f"{mag.numerator}\\,"
-    return f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}\\,"
-
-
 def series_latex(expr: LieExpr, style: str = "nested") -> str:
-    terms = expr.sorted_terms()
-    if not terms:
-        return "0"
-    chunks = []
-    for i, (leaves, c) in enumerate(terms):
-        body = _latex_mag(abs(c)) + _bracket(leaves, style)
-        if i == 0:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f" {'+' if c > 0 else '-'} {body}")
-    return "".join(chunks)
+    return _signed_join(
+        [(c, _bracket(leaves, style)) for leaves, c in expr.sorted_terms()],
+        _latex_mag,
+    )
 
 
 def series_json_doc(expr: LieExpr, meta: dict) -> dict:
     return {
         "meta": meta,
         "terms": [
-            {"leaves": _leaf_names(leaves), "coeff": _coeff_str(c)}
+            {"leaves": _leaf_names(leaves), "coeff": str(c)}
             for leaves, c in expr.sorted_terms()
         ],
     }
@@ -159,49 +147,10 @@ def identity_text(ident: LieExpr, style: str = "nested") -> str:
     return _signed_join(pieces) + " = 0"
 
 
-def reduced_term(m: int, nvars: int, regime: str) -> LieExpr:
-    """One grade of the plain series under the requested reduction."""
-    if nvars != 2:
-        return bch_term(m, nvars)
-    if regime == "compact" and m >= 2:
-        return compact_bch_term(m)
-    e = bch_term(m, 2)
-    if m < 2 or regime == "none":
-        return e
-    if regime == "grade4":
-        return apply_rules(e, lifted_rules(m, 4))
-    if regime == "grade6":
-        return apply_rules(e, lifted_rules(m, 6))
-    if regime == "full":
-        return full_reduce(e, m)
-    return e
-
-
-def reduced_symmetric_term(m: int, regime: str) -> LieExpr:
-    """One grade of the symmetric series under the requested reduction.
-
-    The full and compact regimes assemble from compacted plain inputs; a
-    shorter starting representation is worth having because the canonical
-    basis rewrite is only kept when it does not enlarge the expression.
-    """
-    if regime in ("full", "compact") and m >= 2:
-        e = symmetric_bch_term(m, phi=compact_bch_term)
-        if not e:
-            return e
-        return full_reduce(e, m) if regime == "full" else compact_reduce(e, m)
-    e = symmetric_bch_term(m)
-    if m < 2 or regime == "none" or not e:
-        return e
-    if regime == "grade4":
-        return apply_rules(e, lifted_rules(m, 4))
-    if regime == "grade6":
-        return apply_rules(e, lifted_rules(m, 6))
-    return e
-
-
 def run_verification(max_m: int) -> None:
-    """Cross-check the three series routes; raise on any mismatch."""
-    for m in range(1, min(max_m, 6) + 1):
+    """Cross-check the three series routes at grades 1..max_m; raise on any
+    mismatch."""
+    for m in range(1, max_m + 1):
         phi = expand_lie(bch_term(m, 2))
         dyn = expand_lie(bch_term_dynkin(m))
         words = log_product_words(m, 2)
@@ -211,12 +160,19 @@ def run_verification(max_m: int) -> None:
             )
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(text: str, path: str | None) -> int:
+    """Write the document to stdout or path; returns the exit code."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"bchnest: error: cannot write {path}: {reason}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _series_document(args: argparse.Namespace, symmetric: bool) -> str:
@@ -225,9 +181,7 @@ def _series_document(args: argparse.Namespace, symmetric: bool) -> str:
     nvars = 2 if symmetric else args.vars
 
     def term(m: int) -> LieExpr:
-        if symmetric:
-            return reduced_symmetric_term(m, args.regime)
-        return reduced_term(m, nvars, args.regime)
+        return series_term(m, args.regime, variant, nvars)
 
     if args.format == "json":
         meta = {
@@ -275,7 +229,7 @@ def _identities_json(report: IdentityReport) -> dict:
         "novel": _novel_count(report),
         "identities": [
             [
-                {"leaves": _leaf_names(leaves), "coeff": _coeff_str(c)}
+                {"leaves": _leaf_names(leaves), "coeff": str(c)}
                 for leaves, c in _identity_order(ident)
             ]
             for ident in report.identities
@@ -326,7 +280,8 @@ def _table_rows(max_m: int, rows: tuple[str, ...]) -> dict[str, dict]:
         out[row] = {
             "computed": computed,
             "published": published,
-            "match": computed == published,
+            # Past the published grades there is nothing to compare.
+            "match": computed[: len(published)] == published,
         }
     return out
 
@@ -406,7 +361,7 @@ def build_parser() -> _Parser:
     )
     p_bch.add_argument(
         "--regime",
-        choices=REGIMES,
+        choices=TABLE_MODES,
         default="none",
         help="identity reduction applied to each grade (two generators only)",
     )
@@ -417,7 +372,7 @@ def build_parser() -> _Parser:
     )
     p_sym.add_argument("--grade", type=int, required=True, help="highest grade")
     p_sym.add_argument(
-        "--regime", choices=REGIMES, default="none", help="identity reduction"
+        "--regime", choices=TABLE_MODES, default="none", help="identity reduction"
     )
     _add_common(p_sym)
 
@@ -487,11 +442,11 @@ def main(argv: list[str] | None = None) -> int:
             "identities": cmd_identities,
             "table": cmd_table,
         }[args.command]
-        _emit(handler(args), args.output)
+        document = handler(args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return _emit(document, args.output)
 
 
 def entry() -> None:

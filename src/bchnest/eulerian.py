@@ -17,7 +17,7 @@ from itertools import permutations
 from math import comb
 from typing import Sequence
 
-from bchnest.terms import AssocPoly, LieExpr, ZERO, canonicalize
+from bchnest.terms import AssocPoly, LieExpr, accumulate
 
 
 def descents(perm: Sequence[int]) -> int:
@@ -61,14 +61,11 @@ def multilinear_words(gens: Sequence[int]) -> AssocPoly:
         word = tuple(gens[p] for p in perm)
         key = (word, d)
         counts[key] = counts.get(key, 0) + 1
-    out: dict[tuple[int, ...], Fraction] = {}
-    for (word, d), k in counts.items():
-        c = out.get(word, ZERO) + k * eulerian_coeff(n, d)
-        if c:
-            out[word] = c
-        else:
-            out.pop(word, None)
-    return AssocPoly._from_clean(out)
+    return AssocPoly._from_clean(
+        accumulate(
+            {}, ((word, k * eulerian_coeff(n, d)) for (word, d), k in counts.items())
+        )
+    )
 
 
 def multilinear_nested(gens: Sequence[int]) -> LieExpr:
@@ -99,15 +96,7 @@ def multilinear_nested(gens: Sequence[int]) -> LieExpr:
         word = tuple(rest[p] for p in perm)
         key = (word, d)
         counts[key] = counts.get(key, 0) + 1
-    out: dict[tuple[int, ...], Fraction] = {}
-    for (word, d), k in counts.items():
-        norm = canonicalize(word + (anchor,), k * eulerian_coeff(n, d))
-        if norm is None:
-            continue
-        leaves, c = norm
-        acc = out.get(leaves, ZERO) + c
-        if acc:
-            out[leaves] = acc
-        else:
-            out.pop(leaves, None)
-    return LieExpr._from_clean(out)
+    return LieExpr.from_raw(
+        (word + (anchor,), k * eulerian_coeff(n, d))
+        for (word, d), k in counts.items()
+    )

@@ -1,17 +1,14 @@
 """Identity discovery among right-nested commutators by exact elimination.
 
 At grade m there are 2^(m-2) canonical two-letter right-nested commutators,
-but they span a smaller space: expanding each into associative words gives a
-matrix whose vanishing row combinations are linear identities.  Exact
-Gauss-Jordan elimination on the expansion matrix augmented with an identity
-block yields, in one pass, a commutator basis (the lexicographically first
-independent subset), the complete identity list, and the reduced matrix pair
-used by the worked fixtures.
-
-The expansion of a commutator with j X's only touches words with j X's, so
-the matrix is block diagonal by letter multidegree; elimination runs per
-block and the global reduced form is reassembled by pivot column.  That cuts
-the grade-10 run from minutes to seconds without changing any output.
+but they span a smaller space: expanding each into associative words gives
+rows whose vanishing combinations are linear identities.  The expansion of a
+commutator with j X's only touches words with j X's, so elimination runs per
+letter multidegree: a sparse pass walks each block's commutators in lex
+order and yields the commutator basis (the lexicographically first
+independent subset) and the complete identity list.  The dense expansion
+matrix, augmented with an identity block, and its reduced form are built
+only on demand, for the grade-4 worked example.
 
 Rewrite machinery re-expresses series terms over a basis, either with the
 full grade-m identity set or with the fixed grade-4/grade-6 tail rules whose
@@ -24,8 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import chain, product
 from typing import Callable, Iterable, Sequence
 
 from bchnest.series import bch_term, symmetric_bch_term
@@ -35,23 +32,22 @@ from bchnest.terms import (
     ONE,
     Word,
     ZERO,
+    accumulate,
     expand_lie,
     expand_nested,
 )
 
 # Published term counts for grades 2..10, used as reference rows by the table
 # command and pinned by the acceptance tests.  "dim" is the dimension of the
-# grade-m homogeneous component on two letters; "hall" and "lyndon" are
-# classical-basis counts included for comparison only (this package never
-# constructs those bases); the remaining rows are right-nested counts with no
-# identities applied, with the grade-4 / grade-6 tail rules applied, with the
-# budgeted compaction search, and for the symmetric product.  The symmetric
-# row is published through m=9; its m=10 entry is 0 because even-grade terms
-# of the symmetric product vanish identically.
+# grade-m homogeneous component on two letters; the other rows are
+# right-nested counts with no identities applied, with the grade-4 / grade-6
+# tail rules applied, with the budgeted compaction search, and for the
+# symmetric product.  The symmetric row is published through m=9; its m=10
+# entry is 0 because even-grade terms of the symmetric product vanish
+# identically.  The table command compares computed counts with these over
+# the published grades only.
 REFERENCE_COUNTS: dict[str, tuple[int, ...]] = {
     "dim": (1, 2, 3, 6, 9, 18, 30, 56, 99),
-    "hall": (1, 2, 1, 6, 6, 18, 24, 56, 86),
-    "lyndon": (1, 2, 1, 6, 5, 18, 17, 55, 55),
     "none": (1, 2, 1, 8, 7, 32, 31, 96, 97),
     "grade4": (1, 2, 1, 6, 5, 24, 23, 78, 78),
     "grade6": (1, 2, 1, 6, 4, 18, 17, 67, 65),
@@ -142,118 +138,60 @@ class IdentityReport:
     basis is the lex-first independent subset of the enumeration; identities
     are normalized to coefficient +1 on their dependent commutator (the
     lex-greatest of each identity's support) and expand to zero, which is
-    checked at construction time.  matrix is the expansion matrix with the
-    augmented identity block; rref is its reduced form.
+    checked at construction time.  matrix (the expansion matrix with the
+    augmented identity block) and rref (its reduced form) are built on first
+    access.
     """
 
     grade: int
     commutators: tuple[Leaves, ...]
     basis: tuple[Leaves, ...]
     identities: tuple[LieExpr, ...]
-    matrix: ExactMatrix
-    rref: ExactMatrix
 
+    @cached_property
+    def matrix(self) -> ExactMatrix:
+        expansions = [expand_nested(c).terms for c in self.commutators]
+        words = sorted({w for e in expansions for w in e})
+        n = len(expansions)
+        return ExactMatrix(
+            rows=tuple(
+                tuple(e.get(w, ZERO) for w in words)
+                + tuple(ONE if j == i else ZERO for j in range(n))
+                for i, e in enumerate(expansions)
+            ),
+            word_columns=tuple(words),
+            comm_labels=self.commutators,
+        )
 
-def _block_rref_rows(
-    idxs: Sequence[int],
-    comms: tuple[Leaves, ...],
-    expansions: dict[Leaves, dict[Word, Fraction]],
-    col_index: dict[Word, int],
-    total_cols: int,
-    n_words: int,
-) -> list[tuple[int, tuple[Fraction, ...]]]:
-    """RREF one multidegree block, padded to global width.
-
-    Returns (global pivot column, row) pairs; the caller interleaves blocks
-    by pivot column to recover the unique global reduced form.
-    """
-    words = sorted({w for i in idxs for w in expansions[comms[i]]})
-    local = ExactMatrix(
-        rows=tuple(
-            tuple(expansions[comms[i]].get(w, ZERO) for w in words)
-            + tuple(ONE if j == k else ZERO for k in range(len(idxs)))
-            for j, i in enumerate(idxs)
-        ),
-        word_columns=tuple(words),
-        comm_labels=tuple(comms[i] for i in idxs),
-    )
-    reduced = gauss_jordan(local)
-    out = []
-    for row in reduced.rows:
-        lead = next((j for j, v in enumerate(row) if v), None)
-        # The augmented block makes every row independent; no zero rows.
-        if lead is None:
-            raise RuntimeError("zero row in augmented elimination")
-        global_row = [ZERO] * total_cols
-        for j, v in enumerate(row):
-            if not v:
-                continue
-            if j < len(words):
-                global_row[col_index[words[j]]] = v
-            else:
-                global_row[n_words + idxs[j - len(words)]] = v
-        if lead < len(words):
-            pivot = col_index[words[lead]]
-        else:
-            pivot = n_words + idxs[lead - len(words)]
-        out.append((pivot, tuple(global_row)))
-    return out
+    @cached_property
+    def rref(self) -> ExactMatrix:
+        return gauss_jordan(self.matrix)
 
 
 @lru_cache(maxsize=None)
 def identities_and_basis(m: int) -> IdentityReport:
     """Discover the commutator basis and all linear identities at grade m."""
     comms = enumerate_nested(m)
-    expansions = {c: expand_nested(c).terms for c in comms}
-    all_words = sorted({w for e in expansions.values() for w in e})
-    col_index = {w: i for i, w in enumerate(all_words)}
-    n = len(comms)
-    n_words = len(all_words)
-    total_cols = n_words + n
-
-    matrix = ExactMatrix(
-        rows=tuple(
-            tuple(expansions[c].get(w, ZERO) for w in all_words)
-            + tuple(ONE if j == i else ZERO for j in range(n))
-            for i, c in enumerate(comms)
-        ),
-        word_columns=tuple(all_words),
-        comm_labels=comms,
-    )
-
-    blocks: dict[int, list[int]] = {}
-    for i, c in enumerate(comms):
-        blocks.setdefault(c.count(0), []).append(i)
+    blocks: dict[int, list[Leaves]] = {}
+    for c in comms:
+        blocks.setdefault(c.count(0), []).append(c)
 
     basis: list[Leaves] = []
     identities: list[LieExpr] = []
-    rref_rows: list[tuple[int, tuple[Fraction, ...]]] = []
     for key in sorted(blocks):
-        idxs = blocks[key]
         # In-order sparse elimination: walk the block's commutators in lex
         # order, keeping each row that brings a new pivot word and recording
         # a combination over earlier commutators whenever a row vanishes.
         pivots: list[tuple[Word, dict[Word, Fraction], dict[Leaves, Fraction]]] = []
-        for i in idxs:
-            c = comms[i]
-            row = dict(expansions[c])
+        for c in blocks[key]:
+            row = dict(expand_nested(c).terms)
             combo: dict[Leaves, Fraction] = {c: ONE}
             for lead, prow, pcombo in pivots:
                 f = row.get(lead)
                 if not f:
                     continue
-                for w, v in prow.items():
-                    acc = row.get(w, ZERO) - f * v
-                    if acc:
-                        row[w] = acc
-                    else:
-                        row.pop(w, None)
-                for l2, v in pcombo.items():
-                    acc = combo.get(l2, ZERO) - f * v
-                    if acc:
-                        combo[l2] = acc
-                    else:
-                        combo.pop(l2, None)
+                accumulate(row, prow.items(), -f)
+                accumulate(combo, pcombo.items(), -f)
             if row:
                 lead = min(row)
                 inv = ONE / row[lead]
@@ -269,31 +207,20 @@ def identities_and_basis(m: int) -> IdentityReport:
                 # combo keeps coefficient 1 on c itself; the rest is
                 # supported on lex-earlier basis commutators.
                 identities.append(LieExpr._from_clean(combo))
-        rref_rows.extend(
-            _block_rref_rows(idxs, comms, expansions, col_index, total_cols, n_words)
-        )
 
     for ident in identities:
         if expand_lie(ident):
             raise RuntimeError(f"identity fails to expand to zero: {ident!r}")
-    if len(basis) + len(identities) != n:
+    if len(basis) + len(identities) != len(comms):
         raise RuntimeError("basis/identity split lost rows")
 
     basis.sort()
     identities.sort(key=lambda e: max(e.terms))
-    rref_rows.sort(key=lambda pr: pr[0])
-    rref = ExactMatrix(
-        rows=tuple(r for _, r in rref_rows),
-        word_columns=tuple(all_words),
-        comm_labels=comms,
-    )
     return IdentityReport(
         grade=m,
         commutators=comms,
         basis=tuple(basis),
         identities=tuple(identities),
-        matrix=matrix,
-        rref=rref,
     )
 
 
@@ -330,26 +257,10 @@ def relation_rules(
         if inv != 1:
             for k in pick:
                 pick[k] *= inv
-        for row in remaining:
+        for row in chain(remaining, pivot_rows.values()):
             f = row.get(col)
-            if not f:
-                continue
-            for k, v in pick.items():
-                acc = row.get(k, ZERO) - f * v
-                if acc:
-                    row[k] = acc
-                else:
-                    row.pop(k, None)
-        for prow in pivot_rows.values():
-            f = prow.get(col)
-            if not f:
-                continue
-            for k, v in pick.items():
-                acc = prow.get(k, ZERO) - f * v
-                if acc:
-                    prow[k] = acc
-                else:
-                    prow.pop(k, None)
+            if f:
+                accumulate(row, pick.items(), -f)
         pivot_rows[col] = pick
     return {
         col: {l: -v for l, v in prow.items() if l != col}
@@ -363,18 +274,9 @@ def apply_rules(expr: LieExpr, rules: Rules) -> LieExpr:
     for leaves, c in expr.terms.items():
         rhs = rules.get(leaves)
         if rhs is None:
-            acc = out.get(leaves, ZERO) + c
-            if acc:
-                out[leaves] = acc
-            else:
-                out.pop(leaves, None)
+            accumulate(out, ((leaves, c),))
         else:
-            for l2, c2 in rhs.items():
-                acc = out.get(l2, ZERO) + c * c2
-                if acc:
-                    out[l2] = acc
-                else:
-                    out.pop(l2, None)
+            accumulate(out, rhs.items(), c)
     return LieExpr._from_clean(out)
 
 
@@ -467,11 +369,7 @@ def _cascade_tail(
             if rhs is not None:
                 break
         if rhs is None:
-            acc = out.get(t, ZERO) + c
-            if acc:
-                out[t] = acc
-            else:
-                out.pop(t, None)
+            accumulate(out, ((t, c),))
         else:
             replaced = True
             stack.extend((t2, c * mult) for t2, mult in rhs)
@@ -519,27 +417,16 @@ def lifted_identities(m: int) -> tuple[LieExpr, ...]:
     return tuple(lifts)
 
 
-def _rank(expr: LieExpr) -> tuple:
+def _dict_rank(terms: dict[Leaves, Fraction]) -> tuple:
     # Deterministic comparison key: fewer terms wins, ties broken by the
     # sorted term list itself.
-    return (len(expr), expr.sorted_terms())
-
-
-def _dict_rank(terms: dict[Leaves, Fraction]) -> tuple:
     return (len(terms), sorted(terms.items()))
 
 
 def _subtract_move(
     terms: dict[Leaves, Fraction], rel: dict[Leaves, Fraction], f: Fraction
 ) -> dict[Leaves, Fraction]:
-    out = dict(terms)
-    for l2, v in rel.items():
-        acc = out.get(l2, ZERO) - f * v
-        if acc:
-            out[l2] = acc
-        else:
-            out.pop(l2, None)
-    return out
+    return accumulate(dict(terms), rel.items(), -f)
 
 
 def _descend(
@@ -731,37 +618,57 @@ def full_reduce(expr: LieExpr, m: int) -> LieExpr:
     return cand if len(cand) <= len(expr) else expr
 
 
+def apply_regime(expr: LieExpr, m: int, regime: str) -> LieExpr:
+    """Reduce a grade-m expression under one of ``TABLE_MODES``.
+
+    none keeps the expression, grade4 / grade6 apply the lifted tail rules,
+    full rewrites over the grade's basis unless that enlarges it, and
+    compact runs the budgeted search.  Below grade 2 there is nothing to
+    reduce.
+    """
+    if regime not in TABLE_MODES:
+        raise ValueError(f"unknown regime {regime!r}")
+    if m < 2 or regime == "none" or not expr:
+        return expr
+    if regime == "grade4":
+        return apply_rules(expr, lifted_rules(m, 4))
+    if regime == "grade6":
+        return apply_rules(expr, lifted_rules(m, 6))
+    if regime == "full":
+        return full_reduce(expr, m)
+    return compact_reduce(expr, m)
+
+
+def series_term(
+    m: int, regime: str = "none", variant: str = "plain", nvars: int = 2
+) -> LieExpr:
+    """One grade of the plain or symmetric series under a reduction regime.
+
+    The symmetric variant and every regime other than none need two
+    generators.  The symmetric full and compact regimes assemble from
+    compacted plain terms: a shorter starting representation is worth having
+    because the basis rewrite is only kept when it does not enlarge the
+    expression.  Plain compact terms come from ``compact_bch_term``'s cache,
+    which that assembly shares.
+    """
+    if variant not in ("plain", "symmetric"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if nvars != 2 and (regime != "none" or variant != "plain"):
+        raise ValueError("only the plain unreduced series takes nvars != 2")
+    if variant == "symmetric":
+        compacted = regime in ("full", "compact")
+        e = symmetric_bch_term(m, phi=compact_bch_term if compacted else None)
+    elif regime == "compact":
+        return compact_bch_term(m)
+    else:
+        e = bch_term(m, nvars)
+    return apply_regime(e, m, regime)
+
+
 def table_counts(
     max_m: int, mode: str, variant: str = "plain"
 ) -> tuple[int, ...]:
-    """Nonzero-term counts for grades 2..max_m under one reduction mode.
-
-    Modes: none (raw assembly), grade4 / grade6 (tail-rule rewrites), full
-    (rewrite over the grade's own basis), compact (budgeted search).  The
-    symmetric variant counts terms of the symmetric product instead; its
-    compact mode assembles from compacted plain terms before reducing.
-    """
-    if mode not in TABLE_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if variant not in ("plain", "symmetric"):
-        raise ValueError(f"unknown variant {variant!r}")
+    """Nonzero-term counts of ``series_term`` for grades 2..max_m."""
     if max_m < 2:
         raise ValueError(f"max grade must be at least 2, got {max_m}")
-    counts = []
-    for m in range(2, max_m + 1):
-        if variant == "plain":
-            e = compact_bch_term(m) if mode == "compact" else bch_term(m, 2)
-        elif mode == "compact":
-            e = compact_reduce(symmetric_bch_term(m, phi=compact_bch_term), m)
-        elif mode == "full":
-            e = symmetric_bch_term(m, phi=compact_bch_term)
-        else:
-            e = symmetric_bch_term(m)
-        if mode == "grade4":
-            e = apply_rules(e, lifted_rules(m, 4))
-        elif mode == "grade6":
-            e = apply_rules(e, lifted_rules(m, 6))
-        elif mode == "full":
-            e = full_reduce(e, m)
-        counts.append(len(e))
-    return tuple(counts)
+    return tuple(len(series_term(m, mode, variant)) for m in range(2, max_m + 1))

@@ -23,7 +23,7 @@ from math import factorial
 from typing import Callable, Iterator, Mapping
 
 from bchnest.eulerian import multilinear_nested
-from bchnest.terms import AssocPoly, LieExpr, ONE, ZERO, Generator, canonicalize
+from bchnest.terms import AssocPoly, LieExpr, ONE, Generator, accumulate
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -60,12 +60,7 @@ def bch_term(m: int, nvars: int = 2) -> LieExpr:
         for i in comp:
             weight /= factorial(i)
         args = tuple(j for j, i in enumerate(comp) for _ in range(i))
-        for leaves, c in multilinear_nested(args).terms.items():
-            acc = total.get(leaves, ZERO) + weight * c
-            if acc:
-                total[leaves] = acc
-            else:
-                total.pop(leaves, None)
+        accumulate(total, multilinear_nested(args).terms.items(), weight)
     return LieExpr._from_clean(total)
 
 
@@ -96,26 +91,18 @@ def bch_term_dynkin(m: int) -> LieExpr:
         raise ValueError(f"grade must be positive, got {m}")
     if m == 1:
         return LieExpr({(0,): ONE, (1,): ONE})
-    total: dict[tuple[int, ...], Fraction] = {}
-    for k in range(1, m + 1):
-        sign = -1 if (k - 1) % 2 else 1
-        for blocks in _block_sequences(m, k):
-            denom = k * m
-            for p, q in blocks:
-                denom *= factorial(p) * factorial(q)
-            word = tuple(
-                g for p, q in blocks for g in (0,) * p + (1,) * q
-            )
-            norm = canonicalize(word, Fraction(sign, denom))
-            if norm is None:
-                continue
-            leaves, c = norm
-            acc = total.get(leaves, ZERO) + c
-            if acc:
-                total[leaves] = acc
-            else:
-                total.pop(leaves, None)
-    return LieExpr._from_clean(total)
+
+    def brackets() -> Iterator[tuple[tuple[int, ...], Fraction]]:
+        for k in range(1, m + 1):
+            sign = -1 if (k - 1) % 2 else 1
+            for blocks in _block_sequences(m, k):
+                denom = k * m
+                for p, q in blocks:
+                    denom *= factorial(p) * factorial(q)
+                word = tuple(g for p, q in blocks for g in (0,) * p + (1,) * q)
+                yield word, Fraction(sign, denom)
+
+    return LieExpr.from_raw(brackets())
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ touches floats.  Instances are treated as immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, TypeVar, Union
 
 Generator = int
 Word = tuple[int, ...]
@@ -35,54 +35,69 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _merged(a: dict, b: Mapping, sign: int) -> dict:
-    """a + sign*b as term maps, dropping exact zeros."""
-    out = dict(a)
-    for key, coeff in b.items():
-        c = out.get(key, ZERO) + (coeff if sign > 0 else -coeff)
+K = TypeVar("K")
+
+
+def accumulate(
+    target: dict[K, Fraction],
+    pairs: Iterable[tuple[K, Scalar]],
+    factor: Scalar | None = None,
+) -> dict[K, Fraction]:
+    """Add each (key, c) of pairs, times factor if given, into target.
+
+    Exact zeros are dropped as they arise, so a key that cancels and comes
+    back moves to the end of the insertion order.  A new key stores c as
+    given, so pairs must carry Fractions.  Returns target.
+    """
+    for key, c in pairs:
+        if factor is not None:
+            c = factor * c
+        old = target.get(key)
+        if old is not None:
+            c = old + c
         if c:
-            out[key] = c
+            target[key] = c
         else:
-            out.pop(key, None)
-    return out
+            target.pop(key, None)
+    return target
 
 
-class AssocPoly:
-    """Polynomial in non-commuting generators: a finite map word -> Fraction.
+class _TermMap:
+    """A finite map key -> nonzero Fraction with exact linear arithmetic.
 
-    The zero polynomial is the empty map; zero coefficients are never stored.
-    The empty word () acts as the multiplicative unit and appears only in
-    inhomogeneous intermediates such as truncated exponential series.
+    The zero element is the empty map; zero coefficients are never stored.
+    Subclasses fix what a key is and may validate it in ``_key``.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, Scalar] | None = None):
-        clean: dict[Word, Fraction] = {}
+    def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
+        clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
-            for word, coeff in terms.items():
+            for key, coeff in terms.items():
+                key = self._key(key)
                 c = Fraction(coeff)
                 if c:
-                    clean[tuple(word)] = c
+                    clean[key] = c
         self.terms = clean
 
-    @classmethod
-    def _from_clean(cls, terms: dict[Word, Fraction]) -> "AssocPoly":
-        # Trusted constructor: keys already tuples, no zero values.
-        poly = object.__new__(cls)
-        poly.terms = terms
-        return poly
+    @staticmethod
+    def _key(key: Iterable[int]) -> tuple[int, ...]:
+        return tuple(key)
 
     @classmethod
-    def zero(cls) -> "AssocPoly":
+    def _from_clean(cls, terms: dict[tuple[int, ...], Fraction]):
+        # Trusted constructor: keys already valid tuples, no zero values.
+        obj = object.__new__(cls)
+        obj.terms = terms
+        return obj
+
+    @classmethod
+    def zero(cls):
         return cls._from_clean({})
 
-    @classmethod
-    def unit(cls) -> "AssocPoly":
-        return cls._from_clean({(): ONE})
-
-    def coeff(self, word: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(word), ZERO)
+    def coeff(self, key: Iterable[int]) -> Fraction:
+        return self.terms.get(tuple(key), ZERO)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -91,46 +106,76 @@ class AssocPoly:
         return len(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AssocPoly):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.terms == other.terms
 
-    def __add__(self, other: "AssocPoly") -> "AssocPoly":
-        if not isinstance(other, AssocPoly):
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return AssocPoly._from_clean(_merged(self.terms, other.terms, +1))
+        return self._from_clean(accumulate(dict(self.terms), other.terms.items()))
 
-    def __sub__(self, other: "AssocPoly") -> "AssocPoly":
-        if not isinstance(other, AssocPoly):
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return AssocPoly._from_clean(_merged(self.terms, other.terms, -1))
+        negated = ((key, -c) for key, c in other.terms.items())
+        return self._from_clean(accumulate(dict(self.terms), negated))
 
-    def __neg__(self) -> "AssocPoly":
-        return AssocPoly._from_clean({w: -c for w, c in self.terms.items()})
+    def __neg__(self):
+        return self._from_clean({key: -c for key, c in self.terms.items()})
 
-    def __mul__(self, scalar: Scalar) -> "AssocPoly":
+    def __mul__(self, scalar: Scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         s = Fraction(scalar)
         if not s:
-            return AssocPoly._from_clean({})
-        return AssocPoly._from_clean({w: c * s for w, c in self.terms.items()})
+            return self._from_clean({})
+        return self._from_clean({key: c * s for key, c in self.terms.items()})
 
     __rmul__ = __mul__
+
+    def grade(self) -> int:
+        """Common key length; raises on zero or inhomogeneous maps."""
+        grades = {len(key) for key in self.terms}
+        if len(grades) != 1:
+            raise ValueError(f"not homogeneous: grades {sorted(grades)}")
+        return grades.pop()
+
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """Terms in canonical output order: by grade, then lexicographically."""
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{key}: {c}" for key, c in self.sorted_terms())
+        return f"{type(self).__name__}({{{inner}}})"
+
+
+class AssocPoly(_TermMap):
+    """Polynomial in non-commuting generators: a finite map word -> Fraction.
+
+    The empty word () acts as the multiplicative unit and appears only in
+    inhomogeneous intermediates such as truncated exponential series.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def unit(cls) -> "AssocPoly":
+        return cls._from_clean({(): ONE})
 
     def concat(self, other: "AssocPoly", max_grade: int | None = None) -> "AssocPoly":
         """Bilinear word concatenation, dropping words longer than max_grade."""
         out: dict[Word, Fraction] = {}
         for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                if max_grade is not None and len(u) + len(v) > max_grade:
-                    continue
-                w = u + v
-                c = out.get(w, ZERO) + cu * cv
-                if c:
-                    out[w] = c
-                else:
-                    out.pop(w, None)
+            accumulate(
+                out,
+                (
+                    (u + v, cv)
+                    for v, cv in other.terms.items()
+                    if max_grade is None or len(u) + len(v) <= max_grade
+                ),
+                cu,
+            )
         return AssocPoly._from_clean(out)
 
     def homogeneous_part(self, grade: int) -> "AssocPoly":
@@ -141,21 +186,6 @@ class AssocPoly:
     def is_homogeneous(self) -> bool:
         grades = {len(w) for w in self.terms}
         return len(grades) <= 1 and grades != {0}
-
-    def grade(self) -> int:
-        """Common word length; raises on zero or inhomogeneous polynomials."""
-        grades = {len(w) for w in self.terms}
-        if len(grades) != 1:
-            raise ValueError(f"not homogeneous: grades {sorted(grades)}")
-        return grades.pop()
-
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        """Terms in canonical output order: by grade, then lexicographically."""
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{w}: {c}" for w, c in self.sorted_terms())
-        return f"AssocPoly({{{inner}}})"
 
 
 def canonicalize(leaves: Leaves, coeff: Scalar) -> tuple[Leaves, Fraction] | None:
@@ -177,11 +207,7 @@ def canonicalize(leaves: Leaves, coeff: Scalar) -> tuple[Leaves, Fraction] | Non
     return leaves, c
 
 
-def _is_canonical(leaves: Leaves) -> bool:
-    return len(leaves) == 1 or leaves[-2] < leaves[-1]
-
-
-class LieExpr:
+class LieExpr(_TermMap):
     """Linear combination of canonical right-nested commutators.
 
     Keys are leaf tuples; every stored key must already be canonical (strictly
@@ -189,105 +215,35 @@ class LieExpr:
     to build from brackets that may need normalization.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Leaves, Scalar] | None = None):
-        clean: dict[Leaves, Fraction] = {}
-        if terms:
-            for leaves, coeff in terms.items():
-                key = tuple(leaves)
-                if not key:
-                    raise ValueError("empty leaf tuple")
-                if not _is_canonical(key):
-                    raise ValueError(f"non-canonical bracket {key}; use from_raw")
-                c = Fraction(coeff)
-                if c:
-                    clean[key] = c
-        self.terms = clean
-
-    @classmethod
-    def _from_clean(cls, terms: dict[Leaves, Fraction]) -> "LieExpr":
-        expr = object.__new__(cls)
-        expr.terms = terms
-        return expr
-
-    @classmethod
-    def zero(cls) -> "LieExpr":
-        return cls._from_clean({})
+    @staticmethod
+    def _key(leaves: Iterable[int]) -> Leaves:
+        key = tuple(leaves)
+        if not key:
+            raise ValueError("empty leaf tuple")
+        if len(key) > 1 and key[-2] >= key[-1]:
+            raise ValueError(f"non-canonical bracket {key}; use from_raw")
+        return key
 
     @classmethod
     def from_raw(cls, pairs: Iterable[tuple[Leaves, Scalar]]) -> "LieExpr":
         """Canonicalize and merge raw (leaves, coeff) pairs."""
-        out: dict[Leaves, Fraction] = {}
-        for leaves, coeff in pairs:
-            key = tuple(leaves)
-            if len(key) == 1:
-                norm: tuple[Leaves, Fraction] | None = (key, Fraction(coeff))
-            else:
-                norm = canonicalize(key, coeff)
-            if norm is None:
-                continue
-            key, c = norm
-            acc = out.get(key, ZERO) + c
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return cls._from_clean(out)
 
-    def coeff(self, leaves: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(leaves), ZERO)
+        def canonical() -> Iterator[tuple[Leaves, Fraction]]:
+            for leaves, coeff in pairs:
+                key = tuple(leaves)
+                if len(key) == 1:
+                    norm: tuple[Leaves, Fraction] | None = (key, Fraction(coeff))
+                else:
+                    norm = canonicalize(key, coeff)
+                if norm is not None:
+                    yield norm
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LieExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "LieExpr") -> "LieExpr":
-        if not isinstance(other, LieExpr):
-            return NotImplemented
-        return LieExpr._from_clean(_merged(self.terms, other.terms, +1))
-
-    def __sub__(self, other: "LieExpr") -> "LieExpr":
-        if not isinstance(other, LieExpr):
-            return NotImplemented
-        return LieExpr._from_clean(_merged(self.terms, other.terms, -1))
-
-    def __neg__(self) -> "LieExpr":
-        return LieExpr._from_clean({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, scalar: Scalar) -> "LieExpr":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        s = Fraction(scalar)
-        if not s:
-            return LieExpr._from_clean({})
-        return LieExpr._from_clean({k: c * s for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
+        return cls._from_clean(accumulate({}, canonical()))
 
     def is_homogeneous(self) -> bool:
-        grades = {len(k) for k in self.terms}
-        return len(grades) <= 1
-
-    def grade(self) -> int:
-        grades = {len(k) for k in self.terms}
-        if len(grades) != 1:
-            raise ValueError(f"not homogeneous: grades {sorted(grades)}")
-        return grades.pop()
-
-    def sorted_terms(self) -> list[tuple[Leaves, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {c}" for k, c in self.sorted_terms())
-        return f"LieExpr({{{inner}}})"
+        return len({len(k) for k in self.terms}) <= 1
 
 
 def expand_nested(leaves: Leaves) -> AssocPoly:
@@ -301,21 +257,14 @@ def expand_nested(leaves: Leaves) -> AssocPoly:
         raise ValueError("empty leaf tuple")
     poly: dict[Word, Fraction] = {(leaves[-1],): ONE}
     for g in reversed(leaves[:-1]):
-        nxt: dict[Word, Fraction] = {}
-        for w, c in poly.items():
-            left = (g,) + w
-            cl = nxt.get(left, ZERO) + c
-            if cl:
-                nxt[left] = cl
-            else:
-                nxt.pop(left, None)
-            right = w + (g,)
-            cr = nxt.get(right, ZERO) - c
-            if cr:
-                nxt[right] = cr
-            else:
-                nxt.pop(right, None)
-        poly = nxt
+        poly = accumulate(
+            {},
+            (
+                pair
+                for w, c in poly.items()
+                for pair in (((g,) + w, c), (w + (g,), -c))
+            ),
+        )
     return AssocPoly._from_clean(poly)
 
 
@@ -323,12 +272,7 @@ def expand_lie(expr: LieExpr) -> AssocPoly:
     """Word expansion of a LieExpr (linear in the terms)."""
     out: dict[Word, Fraction] = {}
     for leaves, coeff in expr.terms.items():
-        for w, c in expand_nested(leaves).terms.items():
-            acc = out.get(w, ZERO) + coeff * c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
+        accumulate(out, expand_nested(leaves).terms.items(), coeff)
     return AssocPoly._from_clean(out)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bchnest import __version__
+from bchnest import __version__, cli
 from bchnest.cli import (
     build_parser,
     main,
@@ -223,6 +223,30 @@ def test_verify_passes(capsys):
     assert err == ""
 
 
+def test_verify_checks_every_requested_grade(capsys, monkeypatch):
+    real = cli.bch_term
+
+    def wrong_at_seven(m, nvars=2):
+        e = real(m, nvars)
+        return e * 2 if m == 7 else e
+
+    monkeypatch.setattr(cli, "bch_term", wrong_at_seven)
+    code, out, err = run_cli(capsys, "bch", "--grade", "7", "--verify")
+    assert code == 2
+    assert out == ""
+    assert "grade 7" in err
+
+
+def test_unwritable_output_exits_three(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, out, err = run_cli(capsys, "bch", "--grade", "2", "--output", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"bchnest: error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 def test_usage_errors_exit_one(capsys):
     for argv in (
         ["bch", "--grade", "0"],
@@ -248,6 +272,14 @@ def test_unsafe_grade_flag_allows_and_warns(capsys):
     # 2^9 canonical commutators; the grade-11 homogeneous component has
     # dimension (2^11 - 2) / 11 = 186.
     assert out.startswith("grade 11: 512 commutators, basis 186,")
+    # The published rows stop at grade 10; the extra computed grade is not
+    # a difference.
+    code, out, _ = run_cli(
+        capsys, "table", "--max-grade", "11", "--unsafe-grade", "--row", "dim"
+    )
+    assert code == 0
+    assert out.splitlines()[1].endswith("ok")
+    assert "computed 1,2,3,6,9,18,30,56,99,186" in out
 
 
 def test_version_flag(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from bchnest.identities import (
     ExactMatrix,
+    apply_regime,
     apply_rules,
     compact_reduce,
     enumerate_nested,
@@ -17,6 +18,7 @@ from bchnest.identities import (
     lifted_rules,
     relation_rules,
     rewrite_in_basis,
+    series_term,
     table_counts,
 )
 from bchnest.series import bch_term
@@ -102,14 +104,6 @@ def test_grade_four_fixture():
     # The single grade-4 identity: [Y,[X,[X,Y]]] - [X,[Y,[X,Y]]] = 0.
     assert len(rep.identities) == 1
     assert rep.identities[0].terms == {(1, 0, 0, 1): F(1), (0, 1, 0, 1): F(-1)}
-
-
-def test_blockwise_rref_equals_dense_global_rref():
-    # Elimination runs per multidegree block and reassembles rows by pivot
-    # column; the result must be the unique global reduced form.
-    for m in (3, 4, 5, 6):
-        rep = identities_and_basis(m)
-        assert gauss_jordan(rep.matrix).rows == rep.rref.rows
 
 
 def test_basis_dimensions():
@@ -259,3 +253,21 @@ def test_table_symmetric_even_grades_zero():
 def test_table_rejects_unknown_mode():
     with pytest.raises(ValueError):
         table_counts(5, "bogus")
+
+
+def test_series_term_dispatch():
+    for m in (4, 6):
+        e = bch_term(m, 2)
+        assert series_term(m) == e
+        assert series_term(m, "grade4") == apply_rules(e, lifted_rules(m, 4))
+        assert series_term(m, "full") == full_reduce(e, m)
+        assert apply_regime(e, m, "none") is e
+    # Grade 1 has no identities to apply.
+    assert series_term(1, "full") == bch_term(1, 2)
+    assert series_term(3, nvars=3) == bch_term(3, 3)
+    with pytest.raises(ValueError):
+        series_term(3, "grade4", nvars=3)
+    with pytest.raises(ValueError):
+        series_term(3, variant="bogus")
+    with pytest.raises(ValueError):
+        apply_regime(bch_term(4, 2), 4, "bogus")
