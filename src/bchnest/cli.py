@@ -11,8 +11,10 @@ documents.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure (--verify
 cross-checks the permutation-sum series against the two independent oracle
-routes at every grade up to the requested one before printing and refuses
-to emit anything on a mismatch), 3 the --output file cannot be written.
+routes at every grade up to the requested one and, for bch and symbch,
+checks the word expansion of every grade of the series the command prints,
+reduced or not, before printing; it refuses to emit anything on a
+mismatch), 3 the --output file cannot be written.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from bchnest.identities import (
     table_counts,
 )
 from bchnest.series import bch_term, bch_term_dynkin, log_product_words
-from bchnest.terms import Leaves, LieExpr, expand_lie
+from bchnest.terms import AssocPoly, Leaves, LieExpr, Word, accumulate, expand_lie
 
 GRADE_CAP = 10
 GENERATORS = "XYZWVUTSRQ"
@@ -160,6 +162,29 @@ def run_verification(max_m: int) -> None:
             )
 
 
+def _symmetric_words(m: int) -> AssocPoly:
+    # log(exp(X/2) exp(Y) exp(X/2)) from the three-generator word route:
+    # Z becomes X, and every X or Z letter brings a factor 1/2.
+    out: dict[Word, Fraction] = {}
+    for word, c in log_product_words(m, 3).terms.items():
+        halves = sum(1 for g in word if g != 1)
+        z_as_x = tuple(0 if g == 2 else g for g in word)
+        accumulate(out, ((z_as_x, c / 2**halves),))
+    return AssocPoly._from_clean(out)
+
+
+def verify_series(terms: dict[int, LieExpr], nvars: int, symmetric: bool) -> None:
+    """Check each grade's printed expression against the word route; raise
+    on any mismatch."""
+    for m, expr in terms.items():
+        words = _symmetric_words(m) if symmetric else log_product_words(m, nvars)
+        if expand_lie(expr) != words:
+            raise VerificationError(
+                f"printed grade {m} disagrees with the word route; "
+                "refusing to print"
+            )
+
+
 def _emit(text: str, path: str | None) -> int:
     """Write the document to stdout or path; returns the exit code."""
     if path is None:
@@ -180,8 +205,14 @@ def _series_document(args: argparse.Namespace, symmetric: bool) -> str:
     variant = "symmetric" if symmetric else "plain"
     nvars = 2 if symmetric else args.vars
 
-    def term(m: int) -> LieExpr:
-        return series_term(m, args.regime, variant, nvars)
+    # JSON shows the top grade only; --verify checks every grade up to it.
+    low = args.grade if args.format == "json" and not args.verify else 1
+    terms = {
+        m: series_term(m, args.regime, variant, nvars)
+        for m in range(low, args.grade + 1)
+    }
+    if args.verify:
+        verify_series(terms, nvars, symmetric)
 
     if args.format == "json":
         meta = {
@@ -191,14 +222,14 @@ def _series_document(args: argparse.Namespace, symmetric: bool) -> str:
             "variant": variant,
             "version": __version__,
         }
-        return render_series_json(term(args.grade), meta)
+        return render_series_json(terms[args.grade], meta)
     lines = []
     for m in range(1, args.grade + 1):
         if args.format == "latex":
-            body = series_latex(term(m), args.latex_style)
+            body = series_latex(terms[m], args.latex_style)
             lines.append(f"\\{letter}_{{{m}}} = {body} \\\\")
         else:
-            lines.append(f"{letter}_{m} = {series_text(term(m))}")
+            lines.append(f"{letter}_{m} = {series_text(terms[m])}")
     return "\n".join(lines) + "\n"
 
 
@@ -334,7 +365,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check the series against both oracle routes first",
+        help="cross-check the series routes and the printed terms first",
     )
     p.add_argument(
         "--unsafe-grade",

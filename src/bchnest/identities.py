@@ -14,6 +14,10 @@ Rewrite machinery re-expresses series terms over a basis, either with the
 full grade-m identity set or with the fixed grade-4/grade-6 tail rules whose
 ad-prefixed lifts reproduce the published reduced rows, and a budgeted
 deterministic search looks for representations with fewer nonzero terms.
+The search runs on integers: each block is held as integer numerators over
+one denominator in lowest terms, each identity as a primitive integer
+vector, and a move's size is counted before the move is built.  It stays
+exact, and it is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from bchnest.series import bch_term, symmetric_bch_term
@@ -226,6 +231,62 @@ def identities_and_basis(m: int) -> IdentityReport:
 
 Rules = dict[Leaves, dict[Leaves, Fraction]]
 
+# A search block: integer numerators over one positive denominator, in
+# lowest terms.
+Block = tuple[dict[Leaves, int], int]
+
+
+def _to_int(terms: dict[Leaves, Fraction]) -> Block:
+    """Numerators over the lcm of the reduced denominators, key order kept."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
+
+
+def _to_fractions(block: Block) -> dict[Leaves, Fraction]:
+    nums, den = block
+    return {k: Fraction(v, den) for k, v in nums.items()}
+
+
+def _primitive(terms: dict[Leaves, Fraction]) -> dict[Leaves, int]:
+    """The integer multiple of a relation with coprime entries, key order kept."""
+    nums, _ = _to_int(terms)
+    g = gcd(*nums.values())
+    return {k: v // g for k, v in nums.items()}
+
+
+def _eliminate(
+    row: dict[Leaves, int], pick: dict[Leaves, int], col: Leaves, den: int = 0
+) -> int:
+    """Clear col from row with pick, in place; returns the new denominator.
+
+    row <- (p * row - row[col] * pick) / g with p = |pick[col]|: row is
+    scaled in place, then pick's entries are added in pick's order, dropping
+    zeros and appending new keys, so row keeps the key order that
+    ``accumulate`` would give it; rule right-hand sides inherit that order.
+    den is row's common denominator, scaled by p alongside; g is the gcd of
+    den and the new entries, so a block stays in lowest terms and a relation
+    (den 0) stays primitive.
+    """
+    p, f = pick[col], row[col]
+    if p < 0:
+        p, f = -p, -f
+    if p != 1:
+        for k in row:
+            row[k] *= p
+    for k, v in pick.items():
+        c = row.get(k, 0) - f * v
+        if c:
+            row[k] = c
+        else:
+            del row[k]
+    den *= p
+    g = gcd(den, *row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+        den //= g
+    return den
+
 
 def relation_rules(
     relations: Iterable[LieExpr],
@@ -239,13 +300,14 @@ def relation_rules(
     terms of earlier ones).  The outcome depends only on the span of the
     relations and the priority, not on their order.  Rule right-hand sides
     never mention pivots, so a single substitution pass fully reduces any
-    expression.
+    expression.  Rows are eliminated as primitive integer vectors; only the
+    rules are Fractions.
     """
     if priority is None:
         priority = lambda leaves: leaves
-    remaining = [dict(r.terms) for r in relations if r.terms]
+    remaining = [_primitive(r.terms) for r in relations if r.terms]
     universe = sorted({l for r in remaining for l in r}, key=priority, reverse=True)
-    pivot_rows: dict[Leaves, dict[Leaves, Fraction]] = {}
+    pivot_rows: dict[Leaves, dict[Leaves, int]] = {}
     for col in universe:
         if not remaining:
             break
@@ -253,17 +315,12 @@ def relation_rules(
         if pick is None:
             continue
         remaining = [r for r in remaining if r is not pick]
-        inv = ONE / pick[col]
-        if inv != 1:
-            for k in pick:
-                pick[k] *= inv
         for row in chain(remaining, pivot_rows.values()):
-            f = row.get(col)
-            if f:
-                accumulate(row, pick.items(), -f)
+            if col in row:
+                _eliminate(row, pick, col)
         pivot_rows[col] = pick
     return {
-        col: {l: -v for l, v in prow.items() if l != col}
+        col: {l: Fraction(-v, prow[col]) for l, v in prow.items() if l != col}
         for col, prow in pivot_rows.items()
     }
 
@@ -417,63 +474,86 @@ def lifted_identities(m: int) -> tuple[LieExpr, ...]:
     return tuple(lifts)
 
 
-def _dict_rank(terms: dict[Leaves, Fraction]) -> tuple:
-    # Deterministic comparison key: fewer terms wins, ties broken by the
-    # sorted term list itself.
-    return (len(terms), sorted(terms.items()))
+def _ranks_before(a: Block, b: Block) -> bool:
+    # Deterministic order on blocks: fewer terms first, ties broken by the
+    # sorted (leaves, value) list, values compared by cross-multiplying.
+    (an, ad), (bn, bd) = a, b
+    if len(an) != len(bn):
+        return len(an) < len(bn)
+    for (ka, va), (kb, vb) in zip(sorted(an.items()), sorted(bn.items())):
+        if ka != kb:
+            return ka < kb
+        if va * bd != vb * ad:
+            return va * bd < vb * ad
+    return False
 
 
-def _subtract_move(
-    terms: dict[Leaves, Fraction], rel: dict[Leaves, Fraction], f: Fraction
-) -> dict[Leaves, Fraction]:
-    return accumulate(dict(terms), rel.items(), -f)
+def _moved_len(nums: dict[Leaves, int], rel: dict[Leaves, int], col: Leaves) -> int:
+    # Support size after the move that clears col, counted without building
+    # it: a shared key k cancels iff nums[k] * rel[col] == nums[col] * rel[k].
+    t, r = nums[col], rel[col]
+    n = len(nums)
+    for k, v in rel.items():
+        c = nums.get(k)
+        if c is None:
+            n += 1
+        elif c * r == t * v:
+            n -= 1
+    return n
+
+
+def _move(block: Block, rel: dict[Leaves, int], col: Leaves) -> Block:
+    nums = dict(block[0])
+    return nums, _eliminate(nums, rel, col, block[1])
 
 
 def _descend(
-    terms: dict[Leaves, Fraction],
-    rels: Sequence[dict[Leaves, Fraction]],
+    current: Block,
+    rels: Sequence[dict[Leaves, int]],
     meter: list[int],
     budget: int,
-) -> dict[Leaves, Fraction]:
+) -> Block:
     # Steepest descent on single-relation moves t -> t - (t_c / r_c) * r,
-    # each of which zeroes one shared term.  The meter counts adopted
-    # candidate representations, not probed moves.
-    current = terms
-    current_rank = _dict_rank(current)
+    # each of which zeroes one shared term.  A move is built only when its
+    # counted size can tie or beat the best so far.  The meter counts
+    # adopted candidate representations, not probed moves.
     while meter[0] < budget:
-        best = None
-        best_rank = current_rank
+        nums = current[0]
+        best = current
+        best_len = len(nums)
         for rel in rels:
-            for leaves, rc in rel.items():
-                coeff = current.get(leaves)
-                if coeff is None:
+            for leaves in rel:
+                if leaves not in nums:
                     continue
-                move = _subtract_move(current, rel, coeff / rc)
-                move_rank = _dict_rank(move)
-                if move_rank < best_rank:
-                    best, best_rank = move, move_rank
-        if best is None:
+                size = _moved_len(nums, rel, leaves)
+                if size > best_len:
+                    continue
+                move = _move(current, rel, leaves)
+                if _ranks_before(move, best):
+                    best, best_len = move, size
+        if best is current:
             break
         meter[0] += 1
-        current, current_rank = best, best_rank
+        current = best
     return current
 
 
 def _sample_bases(
-    start: dict[Leaves, Fraction],
-    rels: Sequence[dict[Leaves, Fraction]],
+    start: Block,
+    rels: Sequence[dict[Leaves, int]],
     meter: list[int],
     budget: int,
     rng: random.Random,
-) -> dict[Leaves, Fraction]:
+) -> Block:
     # Rewrite onto bases drawn at random: a shuffled priority picks which
     # commutators get eliminated, and each resulting representation is
     # polished by descent.  Samples representations far apart in move
     # distance, which the local walk cannot reach.
-    best = dict(start)
-    best_rank = _dict_rank(best)
-    start_expr = LieExpr._from_clean(dict(start))
-    rel_exprs = [LieExpr._from_clean(dict(r)) for r in rels]
+    best = start
+    start_expr = LieExpr._from_clean(_to_fractions(start))
+    rel_exprs = [
+        LieExpr._from_clean({l2: Fraction(v) for l2, v in r.items()}) for r in rels
+    ]
     support = sorted({l2 for r in rels for l2 in r})
     while meter[0] < budget:
         meter[0] += 1
@@ -482,55 +562,52 @@ def _sample_bases(
         pri = {lv: i for i, lv in enumerate(perm)}
         rules = relation_rules(rel_exprs, priority=pri.__getitem__)
         cand = _descend(
-            dict(apply_rules(start_expr, rules).terms), rels, meter, budget
+            _to_int(apply_rules(start_expr, rules).terms), rels, meter, budget
         )
-        cand_rank = _dict_rank(cand)
-        if cand_rank < best_rank:
-            best, best_rank = cand, cand_rank
+        if _ranks_before(cand, best):
+            best = cand
     return best
 
 
 def _anneal(
-    start: dict[Leaves, Fraction],
-    rels: Sequence[dict[Leaves, Fraction]],
+    start: Block,
+    rels: Sequence[dict[Leaves, int]],
     meter: list[int],
     budget: int,
     rng: random.Random,
-) -> dict[Leaves, Fraction]:
+) -> Block:
     # Random walk that tolerates slightly larger intermediates, polishing
     # with descent whenever it ties the best and restarting from the best
-    # whenever it drifts too long without improving on it.
+    # whenever it drifts too long without improving on it.  A move's size
+    # change is counted; the move is built only when the walk takes it.
     best = _descend(start, rels, meter, budget)
-    best_rank = _dict_rank(best)
-    current = dict(best)
+    current = best
     drift = 0
     while meter[0] < budget:
         meter[0] += 1
         rel = rels[rng.randrange(len(rels))]
-        shared = [l2 for l2 in rel if l2 in current]
+        nums = current[0]
+        shared = [l2 for l2 in rel if l2 in nums]
         if not shared:
             drift += 1
             if drift > 300:
-                current = dict(best)
+                current = best
                 drift = 0
             continue
         leaves = shared[rng.randrange(len(shared))]
-        move = _subtract_move(current, rel, current[leaves] / rel[leaves])
-        delta = len(move) - len(current)
+        delta = _moved_len(nums, rel, leaves) - len(nums)
         if delta <= 0 or (delta == 1 and rng.random() < 0.35) or (
             delta == 2 and rng.random() < 0.05
         ):
-            current = move
-            if len(current) <= len(best):
+            current = _move(current, rel, leaves)
+            if len(current[0]) <= len(best[0]):
                 settled = _descend(current, rels, meter, budget)
-                settled_rank = _dict_rank(settled)
-                if settled_rank < best_rank:
-                    best, best_rank = settled, settled_rank
-                    current = dict(best)
+                if _ranks_before(settled, best):
+                    best = current = settled
                     drift = 0
         drift += 1
         if drift > 300:
-            current = dict(best)
+            current = best
             drift = 0
     return best
 
@@ -544,8 +621,15 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     both tail-rule regimes, and a largest-coefficient-first elimination),
     then runs steepest-descent single-relation moves followed by a seeded
     random walk that may pass through slightly larger representations.
-    Deterministic for fixed inputs; exact; makes no optimality claim.
+    The search holds each block as integer numerators over one denominator
+    and each identity as a primitive integer vector, scores a move by
+    counting the terms it would cancel and builds only the moves it keeps;
+    Fractions appear only in the rules it samples and in the result.
+    Deterministic for fixed inputs; exact; makes no optimality claim.  A
+    negative budget is refused.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     if not expr:
         return expr
     if m < 2:
@@ -565,10 +649,10 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     )
     seeds.append(apply_rules(expr, greedy))
 
-    rel_blocks: dict[int, list[dict[Leaves, Fraction]]] = {}
+    rel_blocks: dict[int, list[dict[Leaves, int]]] = {}
     for ident in report.identities:
         key = max(ident.terms).count(0)
-        rel_blocks.setdefault(key, []).append(dict(ident.terms))
+        rel_blocks.setdefault(key, []).append(_primitive(ident.terms))
 
     blocks: dict[int, list[dict[Leaves, Fraction]]] = {}
     for seed in seeds:
@@ -584,7 +668,10 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
         cands = blocks[key]
         # Seeds represent the same element, so their blocks agree up to
         # identities and the per-block minimum is a valid choice.
-        best = min(cands, key=_dict_rank)
+        best = _to_int(cands[0])
+        for cand in map(_to_int, cands[1:]):
+            if _ranks_before(cand, best):
+                best = cand
         rels = rel_blocks.get(key)
         if rels:
             share = max(1, budget * len(rels) // max(1, total_rels))
@@ -592,7 +679,7 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
             rng = random.Random(m * 1009 + key)
             best = _sample_bases(best, rels, meter, share * 3 // 5, rng)
             best = _anneal(best, rels, meter, share, rng)
-        out.update(best)
+        out.update(_to_fractions(best))
     return LieExpr._from_clean(out)
 
 
@@ -624,11 +711,16 @@ def apply_regime(expr: LieExpr, m: int, regime: str) -> LieExpr:
     none keeps the expression, grade4 / grade6 apply the lifted tail rules,
     full rewrites over the grade's basis unless that enlarges it, and
     compact runs the budgeted search.  Below grade 2 there is nothing to
-    reduce.
+    reduce.  A nonzero expression of another grade is refused under every
+    regime.
     """
     if regime not in TABLE_MODES:
         raise ValueError(f"unknown regime {regime!r}")
-    if m < 2 or regime == "none" or not expr:
+    if not expr:
+        return expr
+    if expr.grade() != m:
+        raise ValueError(f"expression grade {expr.grade()} != {m}")
+    if m < 2 or regime == "none":
         return expr
     if regime == "grade4":
         return apply_rules(expr, lifted_rules(m, 4))

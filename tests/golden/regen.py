@@ -31,10 +31,15 @@ def _cases() -> dict[str, list[str]]:
             cases[f"bch-{grade}-{regime}.{ext}"] = [
                 "bch", "--grade", str(grade), "--regime", regime, "--format", fmt,
             ]
-    # Grade-9 symmetric full and compact run for half a minute; grade 7
-    # already goes through the compacted plain inputs they assemble from.
+    for grade in (9, 10):
+        cases[f"bch-{grade}-compact.json"] = [
+            "bch", "--grade", str(grade), "--regime", "compact", "--format", "json",
+        ]
+    # Grade-9 symmetric full runs as long as the compact case, which pins
+    # the compacted plain inputs both assemble from.
     for grade, regime in (
         (9, "none"), (9, "grade4"), (9, "grade6"), (7, "full"), (7, "compact"),
+        (9, "compact"),
     ):
         cases[f"symbch-{grade}-{regime}.json"] = [
             "symbch", "--grade", str(grade), "--regime", regime, "--format", "json",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bchnest import __version__, cli
+from bchnest import __version__, cli, identities
 from bchnest.cli import (
     build_parser,
     main,
@@ -235,6 +235,47 @@ def test_verify_checks_every_requested_grade(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "grade 7" in err
+
+
+def test_verify_checks_three_generator_output(capsys, monkeypatch):
+    real = identities.bch_term
+
+    def doubled_at_three(m, nvars=2):
+        e = real(m, nvars)
+        return e * 2 if (m, nvars) == (3, 3) else e
+
+    monkeypatch.setattr(identities, "bch_term", doubled_at_three)
+    code, out, err = run_cli(capsys, "bch", "--grade", "3", "--vars", "3", "--verify")
+    assert code == 2
+    assert out == ""
+    assert "grade 3" in err
+
+
+def test_verify_checks_reduced_output(capsys, monkeypatch):
+    real = identities.compact_bch_term
+
+    def corrupted_at_five(m):
+        e = real(m)
+        if m != 5:
+            return e
+        terms = dict(e.terms)
+        leaves = min(terms)
+        terms[leaves] += 1
+        return LieExpr(terms)
+
+    monkeypatch.setattr(identities, "compact_bch_term", corrupted_at_five)
+    code, out, err = run_cli(
+        capsys, "bch", "--grade", "5", "--regime", "compact", "--verify"
+    )
+    assert code == 2
+    assert out == ""
+    assert "grade 5" in err
+    # The symmetric series assembles from the same compacted terms.
+    code, out, err = run_cli(
+        capsys, "symbch", "--grade", "5", "--regime", "compact", "--verify"
+    )
+    assert code == 2
+    assert out == ""
 
 
 def test_unwritable_output_exits_three(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Identity discovery, rewriting, and the reduction regimes."""
 
+import cProfile
+import hashlib
+import pstats
 import random
 from fractions import Fraction
 
@@ -234,6 +237,16 @@ def test_compact_reduce_validates_grade():
     assert compact_reduce(z, 4) is z
 
 
+def test_compact_reduce_rejects_negative_budget():
+    with pytest.raises(ValueError):
+        compact_reduce(bch_term(5, 2), 5, -1)
+    # Budget 0 still picks the shortest seed.
+    e = bch_term(5, 2)
+    zero_budget = compact_reduce(e, 5, 0)
+    assert expand_lie(zero_budget) == expand_lie(e)
+    assert len(zero_budget) <= len(e)
+
+
 def test_table_rows_low_grades():
     assert table_counts(7, "none") == (1, 2, 1, 8, 7, 32)
     assert table_counts(7, "grade4") == (1, 2, 1, 6, 5, 24)
@@ -271,3 +284,63 @@ def test_series_term_dispatch():
         series_term(3, variant="bogus")
     with pytest.raises(ValueError):
         apply_regime(bch_term(4, 2), 4, "bogus")
+    # Every regime, none included, refuses an expression of another grade.
+    for regime in ("none", "grade4", "grade6", "full", "compact"):
+        with pytest.raises(ValueError):
+            apply_regime(bch_term(7, 2), 6, regime)
+    z = LieExpr.zero()
+    assert apply_regime(z, 6, "grade4") is z
+
+
+def _seeded_library_exprs() -> list[tuple[int, LieExpr]]:
+    # Twelve grade 6-8 expressions: random supports of 3/8 of the grade's
+    # commutators, numerators -9..9 without 0 over denominators 1..12, so
+    # each search block starts from a common denominator other than 1.
+    rng = random.Random(2006)
+    exprs = []
+    for i in range(12):
+        m = 6 + i % 3
+        comms = enumerate_nested(m)
+        support = rng.sample(comms, 3 * len(comms) // 8)
+        exprs.append((m, LieExpr({
+            c: F(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 12))
+            for c in support
+        })))
+    return exprs
+
+
+# sha256 of the budget-1000 compactions of _seeded_library_exprs(), one
+# sorted 'leaves:coeff' line per expression, frozen before the search ran on
+# integers.
+LIBRARY_PIN = "e754b0fa035adcaa56aa483f819f4f178eaf7a1276306b34d286bba02527ea4c"
+
+
+def test_compact_reduce_library_pin():
+    lines = []
+    for m, expr in _seeded_library_exprs():
+        out = compact_reduce(expr, m, 1000)
+        assert expand_lie(out) == expand_lie(expr)
+        lines.append(" ".join(
+            "".join(map(str, leaves)) + ":" + str(c)
+            for leaves, c in sorted(out.terms.items())
+        ))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LIBRARY_PIN
+
+
+def test_compact_search_constructs_few_fractions():
+    # The search runs on integers; Fractions appear only where rules are
+    # built and applied and where blocks convert back.  The count repeats
+    # exactly from run to run; the Fraction search made 1 090 844 here.
+    identities_and_basis(8)
+    e = bch_term(8, 2)
+    warm = compact_reduce(e, 8)  # fills the rule caches the count leaves out
+    prof = cProfile.Profile()
+    again = prof.runcall(compact_reduce, e, 8)
+    assert again == warm
+    made = sum(
+        calls
+        for (path, _, name), (_, calls, *_rest) in pstats.Stats(prof).stats.items()
+        if name == "__new__" and path.endswith("fractions.py")
+    )
+    assert made <= 109_000
