@@ -1,7 +1,7 @@
 """Exact computation of the Baker-Campbell-Hausdorff series in right-nested
-commutators: permutation-sum assembly, commutator-identity discovery by exact
-Gauss-Jordan elimination, and term-count reduction.  All arithmetic is over
-``fractions.Fraction``; there are no floats anywhere."""
+commutators: permutation-sum assembly, commutator-identity discovery by
+fraction-free integer elimination, and term-count reduction.  Coefficients
+are ``fractions.Fraction`` outside the elimination; there are no floats."""
 
 from bchnest.eulerian import (
     descents,

@@ -11,10 +11,10 @@ documents.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure (--verify
 cross-checks the permutation-sum series against the two independent oracle
-routes at every grade up to the requested one and, for bch and symbch,
-checks the word expansion of every grade of the series the command prints,
-reduced or not, before printing; it refuses to emit anything on a
-mismatch), 3 the --output file cannot be written.
+routes at every grade up to the requested one, then what is printed: the
+word expansion of every grade bch and symbch print, reduced or not, and the
+basis size identities prints against Witt's formula; it refuses to emit
+anything on a mismatch), 3 the --output file cannot be written.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from bchnest.identities import (
     series_term,
     table_counts,
 )
-from bchnest.series import bch_term, bch_term_dynkin, log_product_words
+from bchnest.series import bch_term, bch_term_dynkin, log_product
 from bchnest.terms import AssocPoly, Leaves, LieExpr, Word, accumulate, expand_lie
 
 GRADE_CAP = 10
@@ -152,21 +152,21 @@ def identity_text(ident: LieExpr, style: str = "nested") -> str:
 def run_verification(max_m: int) -> None:
     """Cross-check the three series routes at grades 1..max_m; raise on any
     mismatch."""
+    words = log_product(max_m, 2)
     for m in range(1, max_m + 1):
         phi = expand_lie(bch_term(m, 2))
         dyn = expand_lie(bch_term_dynkin(m))
-        words = log_product_words(m, 2)
-        if (phi - dyn) or (phi - words):
+        if (phi - dyn) or (phi - words.homogeneous_part(m)):
             raise VerificationError(
                 f"series routes disagree at grade {m}; refusing to print"
             )
 
 
-def _symmetric_words(m: int) -> AssocPoly:
-    # log(exp(X/2) exp(Y) exp(X/2)) from the three-generator word route:
-    # Z becomes X, and every X or Z letter brings a factor 1/2.
+def _symmetric_words(max_m: int) -> AssocPoly:
+    # log(exp(X/2) exp(Y) exp(X/2)) through grade max_m from the three-
+    # generator word route: Z becomes X, every X or Z letter brings 1/2.
     out: dict[Word, Fraction] = {}
-    for word, c in log_product_words(m, 3).terms.items():
+    for word, c in log_product(max_m, 3).terms.items():
         halves = sum(1 for g in word if g != 1)
         z_as_x = tuple(0 if g == 2 else g for g in word)
         accumulate(out, ((z_as_x, c / 2**halves),))
@@ -176,13 +176,20 @@ def _symmetric_words(m: int) -> AssocPoly:
 def verify_series(terms: dict[int, LieExpr], nvars: int, symmetric: bool) -> None:
     """Check each grade's printed expression against the word route; raise
     on any mismatch."""
+    top = max(terms)
+    words = _symmetric_words(top) if symmetric else log_product(top, nvars)
     for m, expr in terms.items():
-        words = _symmetric_words(m) if symmetric else log_product_words(m, nvars)
-        if expand_lie(expr) != words:
+        if expand_lie(expr) != words.homogeneous_part(m):
             raise VerificationError(
                 f"printed grade {m} disagrees with the word route; "
                 "refusing to print"
             )
+
+
+def _lie_dimension(m: int) -> int:
+    """Witt's formula for the grade-m dimension L(m) of the free Lie algebra
+    on two generators, by the relation it inverts: sum_{d | m} d L(d) = 2^m."""
+    return (2**m - sum(d * _lie_dimension(d) for d in range(1, m) if m % d == 0)) // m
 
 
 def _emit(text: str, path: str | None) -> int:
@@ -278,6 +285,10 @@ def _identities_header(report: IdentityReport) -> str:
 
 def cmd_identities(args: argparse.Namespace) -> str:
     report = identities_and_basis(args.grade)
+    if args.verify and len(report.basis) != _lie_dimension(args.grade):
+        raise VerificationError(
+            f"grade {args.grade} basis disagrees with Witt's formula; refusing to print"
+        )
     if args.format == "json":
         return json.dumps(_identities_json(report), indent=2) + "\n"
     if args.format == "latex":

@@ -10,6 +10,11 @@ independent subset) and the complete identity list.  The dense expansion
 matrix, augmented with an identity block, and its reduced form are built
 only on demand, for the grade-4 worked example.
 
+All row reduction is fraction-free: ``_eliminate`` clears one column of an
+integer row, and ``_pivot_rows`` builds the fully reduced pivot rows behind
+the reduced form, the rules and the search's sampled bases.  Fractions
+appear only at the edges, in expansions, identities, rules and results.
+
 Rewrite machinery re-expresses series terms over a basis, either with the
 full grade-m identity set or with the fixed grade-4/grade-6 tail rules whose
 ad-prefixed lifts reproduce the published reduced rows, and a budgeted
@@ -28,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from bchnest.series import bch_term, symmetric_bch_term
 from bchnest.terms import (
@@ -98,39 +103,20 @@ class ExactMatrix:
 def gauss_jordan(matrix: ExactMatrix) -> ExactMatrix:
     """Unique reduced row-echelon form over the rationals.
 
-    First-nonzero-column pivoting, leading entries normalized to 1, full
-    back-elimination; zero rows sink to the bottom.  Column labels carry over
-    unchanged.
+    The nonzero rows go through ``_pivot_rows`` as primitive integer rows,
+    columns left to right; each pivot row is divided by its leading entry
+    and zero rows follow.  Column labels carry over unchanged.
     """
-    rows = [list(r) for r in matrix.rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        pr = rows[pivot_row]
-        inv = ONE / pr[col]
-        if inv != 1:
-            for j in range(col, ncols):
-                if pr[j]:
-                    pr[j] *= inv
-        for r in range(nrows):
-            if r == pivot_row:
-                continue
-            f = rows[r][col]
-            if f:
-                target = rows[r]
-                for j in range(col, ncols):
-                    if pr[j]:
-                        target[j] -= f * pr[j]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
+    ncols = len(matrix.rows[0]) if matrix.rows else 0
+    sparse = ({j: v for j, v in enumerate(r) if v} for r in matrix.rows)
+    pivots = _pivot_rows([_primitive(r) for r in sparse if r], range(ncols))
+    rows = [
+        tuple(Fraction(prow.get(j, 0), prow[col]) for j in range(ncols))
+        for col, prow in pivots.items()
+    ]
+    rows += [(ZERO,) * ncols] * (len(matrix.rows) - len(rows))
     return ExactMatrix(
-        rows=tuple(tuple(r) for r in rows),
+        rows=tuple(rows),
         word_columns=matrix.word_columns,
         comm_labels=matrix.comm_labels,
     )
@@ -184,34 +170,27 @@ def identities_and_basis(m: int) -> IdentityReport:
     basis: list[Leaves] = []
     identities: list[LieExpr] = []
     for key in sorted(blocks):
-        # In-order sparse elimination: walk the block's commutators in lex
-        # order, keeping each row that brings a new pivot word and recording
-        # a combination over earlier commutators whenever a row vanishes.
-        pivots: list[tuple[Word, dict[Word, Fraction], dict[Leaves, Fraction]]] = []
+        # In-order elimination over the block's commutators in lex order.
+        # A row holds c's word expansion plus c itself under the tag (2,) + c,
+        # which sorts after every word; a row left with tags only is an
+        # identity, its terms in the order elimination added them.
+        pivots: list[tuple[Word, dict[Leaves, int]]] = []
         for c in blocks[key]:
-            row = dict(expand_nested(c).terms)
-            combo: dict[Leaves, Fraction] = {c: ONE}
-            for lead, prow, pcombo in pivots:
-                f = row.get(lead)
-                if not f:
-                    continue
-                accumulate(row, prow.items(), -f)
-                accumulate(combo, pcombo.items(), -f)
-            if row:
-                lead = min(row)
-                inv = ONE / row[lead]
-                pivots.append(
-                    (
-                        lead,
-                        {w: v * inv for w, v in row.items()},
-                        {l2: v * inv for l2, v in combo.items()},
-                    )
-                )
+            row, den = _to_int(expand_nested(c).terms)
+            tag = (2,) + c
+            row[tag] = den
+            for lead, prow in pivots:
+                if lead in row:
+                    _eliminate(row, prow, lead)
+            lead = min(row)
+            if lead[0] != 2:
+                pivots.append((lead, row))
                 basis.append(c)
             else:
-                # combo keeps coefficient 1 on c itself; the rest is
+                # Normalized to coefficient 1 on c itself; the rest is
                 # supported on lex-earlier basis commutators.
-                identities.append(LieExpr._from_clean(combo))
+                terms = {k[1:]: Fraction(v, row[tag]) for k, v in row.items()}
+                identities.append(LieExpr._from_clean(terms))
 
     for ident in identities:
         if expand_lie(ident):
@@ -229,6 +208,7 @@ def identities_and_basis(m: int) -> IdentityReport:
     )
 
 
+K = TypeVar("K")
 Rules = dict[Leaves, dict[Leaves, Fraction]]
 
 # A search block: integer numerators over one positive denominator, in
@@ -236,27 +216,20 @@ Rules = dict[Leaves, dict[Leaves, Fraction]]
 Block = tuple[dict[Leaves, int], int]
 
 
-def _to_int(terms: dict[Leaves, Fraction]) -> Block:
+def _to_int(terms: dict[K, Fraction]) -> tuple[dict[K, int], int]:
     """Numerators over the lcm of the reduced denominators, key order kept."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
-def _to_fractions(block: Block) -> dict[Leaves, Fraction]:
-    nums, den = block
-    return {k: Fraction(v, den) for k, v in nums.items()}
-
-
-def _primitive(terms: dict[Leaves, Fraction]) -> dict[Leaves, int]:
+def _primitive(terms: dict[K, Fraction]) -> dict[K, int]:
     """The integer multiple of a relation with coprime entries, key order kept."""
     nums, _ = _to_int(terms)
     g = gcd(*nums.values())
     return {k: v // g for k, v in nums.items()}
 
 
-def _eliminate(
-    row: dict[Leaves, int], pick: dict[Leaves, int], col: Leaves, den: int = 0
-) -> int:
+def _eliminate(row: dict[K, int], pick: dict[K, int], col: K, den: int = 0) -> int:
     """Clear col from row with pick, in place; returns the new denominator.
 
     row <- (p * row - row[col] * pick) / g with p = |pick[col]|: row is
@@ -288,6 +261,29 @@ def _eliminate(
     return den
 
 
+def _pivot_rows(rows: list[dict[K, int]], order: Iterable[K]) -> dict[K, dict[K, int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows, in place.
+
+    Per column in order, the first remaining row holding it becomes its
+    pivot row and clears it from every other row, earlier pivot rows
+    included.  Returns the pivot rows by column, in the order taken; none
+    holds another pivot's column.
+    """
+    pivots: dict[K, dict[K, int]] = {}
+    for col in order:
+        if not rows:
+            break
+        pick = next((r for r in rows if col in r), None)
+        if pick is None:
+            continue
+        rows = [r for r in rows if r is not pick]
+        for row in chain(rows, pivots.values()):
+            if col in row:
+                _eliminate(row, pick, col)
+        pivots[col] = pick
+    return pivots
+
+
 def relation_rules(
     relations: Iterable[LieExpr],
     priority: Callable[[Leaves], object] | None = None,
@@ -300,28 +296,16 @@ def relation_rules(
     terms of earlier ones).  The outcome depends only on the span of the
     relations and the priority, not on their order.  Rule right-hand sides
     never mention pivots, so a single substitution pass fully reduces any
-    expression.  Rows are eliminated as primitive integer vectors; only the
-    rules are Fractions.
+    expression.  The relations are reduced by ``_pivot_rows`` as primitive
+    integer rows; only the rules are Fractions.
     """
     if priority is None:
         priority = lambda leaves: leaves
-    remaining = [_primitive(r.terms) for r in relations if r.terms]
-    universe = sorted({l for r in remaining for l in r}, key=priority, reverse=True)
-    pivot_rows: dict[Leaves, dict[Leaves, int]] = {}
-    for col in universe:
-        if not remaining:
-            break
-        pick = next((r for r in remaining if col in r), None)
-        if pick is None:
-            continue
-        remaining = [r for r in remaining if r is not pick]
-        for row in chain(remaining, pivot_rows.values()):
-            if col in row:
-                _eliminate(row, pick, col)
-        pivot_rows[col] = pick
+    rows = [_primitive(r.terms) for r in relations if r.terms]
+    order = sorted({l for r in rows for l in r}, key=priority, reverse=True)
     return {
         col: {l: Fraction(-v, prow[col]) for l, v in prow.items() if l != col}
-        for col, prow in pivot_rows.items()
+        for col, prow in _pivot_rows(rows, order).items()
     }
 
 
@@ -339,14 +323,14 @@ def apply_rules(expr: LieExpr, rules: Rules) -> LieExpr:
 
 @lru_cache(maxsize=None)
 def _report_rules(m: int) -> Rules:
-    # Prefer eliminating exactly the non-basis commutators, so rewritten
-    # expressions land on report.basis.
-    report = identities_and_basis(m)
-    dependent = set(report.commutators) - set(report.basis)
-    return relation_rules(
-        report.identities,
-        priority=lambda lv: (1 if lv in dependent else 0, lv),
-    )
+    # Each identity is +1 on its dependent commutator, the lex-greatest of
+    # its support, and otherwise supported on the basis, so it already is
+    # the rule that rewrites that commutator onto report.basis.
+    rules: Rules = {}
+    for ident in identities_and_basis(m).identities:
+        dep = max(ident.terms)
+        rules[dep] = {l: -c for l, c in ident.terms.items() if l != dep}
+    return rules
 
 
 def rewrite_in_basis(expr: LieExpr, report: IdentityReport) -> LieExpr:
@@ -545,25 +529,21 @@ def _sample_bases(
     budget: int,
     rng: random.Random,
 ) -> Block:
-    # Rewrite onto bases drawn at random: a shuffled priority picks which
-    # commutators get eliminated, and each resulting representation is
+    # Rewrite onto bases drawn at random: a shuffle picks which commutators
+    # get eliminated, its last first, and each resulting representation is
     # polished by descent.  Samples representations far apart in move
     # distance, which the local walk cannot reach.
     best = start
-    start_expr = LieExpr._from_clean(_to_fractions(start))
-    rel_exprs = [
-        LieExpr._from_clean({l2: Fraction(v) for l2, v in r.items()}) for r in rels
-    ]
     support = sorted({l2 for r in rels for l2 in r})
     while meter[0] < budget:
         meter[0] += 1
         perm = list(support)
         rng.shuffle(perm)
-        pri = {lv: i for i, lv in enumerate(perm)}
-        rules = relation_rules(rel_exprs, priority=pri.__getitem__)
-        cand = _descend(
-            _to_int(apply_rules(start_expr, rules).terms), rels, meter, budget
-        )
+        nums, den = dict(start[0]), start[1]
+        for col, prow in _pivot_rows([dict(r) for r in rels], reversed(perm)).items():
+            if col in nums:
+                den = _eliminate(nums, prow, col, den)
+        cand = _descend((nums, den), rels, meter, budget)
         if _ranks_before(cand, best):
             best = cand
     return best
@@ -624,7 +604,7 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     The search holds each block as integer numerators over one denominator
     and each identity as a primitive integer vector, scores a move by
     counting the terms it would cancel and builds only the moves it keeps;
-    Fractions appear only in the rules it samples and in the result.
+    Fractions appear only in the seeds and in the result.
     Deterministic for fixed inputs; exact; makes no optimality claim.  A
     negative budget is refused.
     """
@@ -632,10 +612,10 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if not expr:
         return expr
-    if m < 2:
-        return expr
     if expr.grade() != m:
         raise ValueError(f"expression grade {expr.grade()} != {m}")
+    if m < 2:
+        return expr
     report = identities_and_basis(m)
     if not report.identities:
         return expr
@@ -679,7 +659,7 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
             rng = random.Random(m * 1009 + key)
             best = _sample_bases(best, rels, meter, share * 3 // 5, rng)
             best = _anneal(best, rels, meter, share, rng)
-        out.update(_to_fractions(best))
+        out.update((k, Fraction(v, best[1])) for k, v in best[0].items())
     return LieExpr._from_clean(out)
 
 

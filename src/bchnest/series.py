@@ -7,8 +7,8 @@ Three independent routes to the same homogeneous element are provided:
   number of variables.
 - ``bch_term_dynkin``: the classical nested-bracket sum over block
   decompositions, two variables only.  Oracle.
-- ``log_product_words``: direct truncated exp/log word arithmetic.  Oracle;
-  returns the word polynomial rather than a commutator expression.
+- ``log_product``: direct truncated exp/log word arithmetic through grade m,
+  and ``log_product_words``, its grade-m part.  Oracle; word polynomials.
 
 The symmetric product exp(X/2) exp(Y) exp(X/2) is obtained from the plain
 series by an exact conjugation sum (``symmetric_bch_term``); its even-grade
@@ -107,11 +107,16 @@ def bch_term_dynkin(m: int) -> LieExpr:
 
 @lru_cache(maxsize=None)
 def log_product_words(m: int, nvars: int = 2) -> AssocPoly:
-    """Grade-m word polynomial of log(exp(X_1)...exp(X_n)), by truncation.
+    """Grade m of ``log_product``; oracle for the word expansion of ``bch_term``."""
+    return log_product(m, nvars).homogeneous_part(m)
+
+
+def log_product(m: int, nvars: int = 2) -> AssocPoly:
+    """Word polynomial of log(exp(X_1)...exp(X_n)) through grade m.
 
     Multiplies the exponential series of each generator truncated at grade m,
-    then runs the log series on (product - 1).  Oracle for the word expansion
-    of ``bch_term``.
+    then runs the log series on (product - 1); every grade 1..m comes out
+    of the one build.
     """
     if m < 1:
         raise ValueError(f"grade must be positive, got {m}")
@@ -130,7 +135,7 @@ def log_product_words(m: int, nvars: int = 2) -> AssocPoly:
     for k in range(2, m + 1):
         power = power.concat(z, max_grade=m)
         acc = acc + power * Fraction(-1 if (k - 1) % 2 else 1, k)
-    return acc.homogeneous_part(m)
+    return acc
 
 
 def ad_power(gen: Generator, expr: LieExpr, k: int) -> LieExpr:

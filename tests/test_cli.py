@@ -1,5 +1,6 @@
 """Command line behavior: fixtures, formats, round-trips, exit codes."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from bchnest.cli import (
     series_latex,
     series_text,
 )
-from bchnest.terms import LieExpr
+from bchnest.series import log_product_words
+from bchnest.terms import AssocPoly, LieExpr
 
 F = Fraction
 
@@ -276,6 +278,45 @@ def test_verify_checks_reduced_output(capsys, monkeypatch):
     )
     assert code == 2
     assert out == ""
+
+
+def test_verify_builds_each_word_series_once(capsys, monkeypatch):
+    # --verify reads every grade from one truncated word series per
+    # generator count instead of rebuilding the product for each grade.
+    real = AssocPoly.concat
+    calls = []
+
+    def counted(self, other, max_grade=None):
+        calls.append(max_grade)
+        return real(self, other, max_grade)
+
+    monkeypatch.setattr(AssocPoly, "concat", counted)
+    log_product_words.cache_clear()
+    log_product_words(6, 3)
+    single = len(calls)
+    log_product_words.cache_clear()
+    calls.clear()
+    code, _, _ = run_cli(
+        capsys, "symbch", "--grade", "6", "--verify", "--format", "json"
+    )
+    assert code == 0
+    # One three-generator build for the printed grades and one smaller
+    # two-generator build for the cross-check of the series routes.
+    assert 0 < len(calls) <= 2 * single
+
+
+def test_identities_verify_checks_basis_size(capsys, monkeypatch):
+    real = cli.identities_and_basis
+
+    def short_basis(m):
+        report = real(m)
+        return dataclasses.replace(report, basis=report.basis[:-1])
+
+    monkeypatch.setattr(cli, "identities_and_basis", short_basis)
+    code, out, err = run_cli(capsys, "identities", "--grade", "6", "--verify")
+    assert code == 2
+    assert out == ""
+    assert "grade 6" in err
 
 
 def test_unwritable_output_exits_three(tmp_path, capsys):

@@ -69,6 +69,49 @@ def test_gauss_jordan_small():
     assert gauss_jordan(red).rows == red.rows
 
 
+def _seeded_dense_matrices() -> list[ExactMatrix]:
+    # Twenty random rational matrices, some of them rank-deficient, with
+    # zero rows or with int entries only, and one matrix with no rows.
+    rng = random.Random(4051)
+    mats = []
+    for i in range(20):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [
+            [
+                F(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() < 0.6 else 0
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        if i % 4 == 1 and nrows > 1:
+            a = F(rng.randint(-3, 3), rng.randint(1, 3))
+            b = F(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        if i % 5 == 2:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        if i % 3 == 0:
+            rows = [[v if isinstance(v, int) else v.numerator for v in r] for r in rows]
+        mats.append(
+            ExactMatrix(rows=tuple(map(tuple, rows)), word_columns=(), comm_labels=())
+        )
+    mats.append(ExactMatrix(rows=(), word_columns=(), comm_labels=()))
+    return mats
+
+
+# sha256 of the reduced forms of _seeded_dense_matrices(), entries compared
+# as Fractions (repr, not pickle, which memoises shared Fraction objects);
+# frozen from the dense Fraction Gauss-Jordan loop.
+GAUSS_JORDAN_PIN = "dc38cba93a4c1066a4ef836be0da6efd38942a1faab840bdaa04088c0f8fc2b6"
+
+
+def test_gauss_jordan_pin():
+    doc = [
+        [tuple(map(F, row)) for row in gauss_jordan(mat).rows]
+        for mat in _seeded_dense_matrices()
+    ]
+    assert hashlib.sha256(repr(doc).encode()).hexdigest() == GAUSS_JORDAN_PIN
+
+
 # Grade-4 worked example, frozen entrywise.  Columns: the 12 length-4 words
 # that occur in some expansion (lex), then one augmented column per
 # commutator XXXY, XYXY, YXXY, YYXY (lex).
@@ -130,6 +173,20 @@ def test_identities_expand_to_zero():
             assert not expand_lie(ident)
             # Normalization: +1 on the lex-greatest commutator.
             assert ident.terms[max(ident.terms)] == F(1)
+
+
+# sha256 of every identity's terms for grades 2..10 in their stored key
+# order, which drives the compaction search's random moves; frozen from the
+# Fraction in-order elimination.
+IDENTITY_ORDER_PIN = "629ed7b8da933b342b5a6cd928ebb451ececba379de12c6138893075d7bab2e1"
+
+
+def test_identity_term_order_pin():
+    doc = [
+        [list(ident.terms.items()) for ident in identities_and_basis(m).identities]
+        for m in range(2, 11)
+    ]
+    assert hashlib.sha256(repr(doc).encode()).hexdigest() == IDENTITY_ORDER_PIN
 
 
 def test_novel_identity_counts():
@@ -233,6 +290,9 @@ def test_compact_reduce_exact_and_deterministic():
 def test_compact_reduce_validates_grade():
     with pytest.raises(ValueError):
         compact_reduce(bch_term(4, 2), 5)
+    # Below grade 2 as well, where there is nothing to search.
+    with pytest.raises(ValueError):
+        compact_reduce(bch_term(5, 2), 1)
     z = LieExpr.zero()
     assert compact_reduce(z, 4) is z
 
@@ -329,9 +389,10 @@ def test_compact_reduce_library_pin():
 
 
 def test_compact_search_constructs_few_fractions():
-    # The search runs on integers; Fractions appear only where rules are
-    # built and applied and where blocks convert back.  The count repeats
-    # exactly from run to run; the Fraction search made 1 090 844 here.
+    # The search runs on integers, sampled bases included; Fractions appear
+    # only where the seeds are built and where blocks convert back.  The
+    # count repeats exactly from run to run; the Fraction search made
+    # 1 090 844 here, and sampling bases through Fraction rules 77 823.
     identities_and_basis(8)
     e = bch_term(8, 2)
     warm = compact_reduce(e, 8)  # fills the rule caches the count leaves out
@@ -343,4 +404,4 @@ def test_compact_search_constructs_few_fractions():
         for (path, _, name), (_, calls, *_rest) in pstats.Stats(prof).stats.items()
         if name == "__new__" and path.endswith("fractions.py")
     )
-    assert made <= 109_000
+    assert made <= 4_000
