@@ -12,9 +12,10 @@ documents.
 Exit codes: 0 success, 1 usage error, 2 verification failure (--verify
 cross-checks the permutation-sum series against the two independent oracle
 routes at every grade up to the requested one, then what is printed: the
-word expansion of every grade bch and symbch print, reduced or not, and the
-basis size identities prints against Witt's formula; it refuses to emit
-anything on a mismatch), 3 the --output file cannot be written.
+word expansion of every grade bch and symbch print, reduced or not, and of
+every identity identities prints, which must vanish, and the basis size and
+table's dim row against Witt's formula; it refuses to emit anything on a
+mismatch), 3 the --output file cannot be written.
 """
 
 from __future__ import annotations
@@ -149,9 +150,9 @@ def identity_text(ident: LieExpr, style: str = "nested") -> str:
     return _signed_join(pieces) + " = 0"
 
 
-def run_verification(max_m: int) -> None:
+def run_verification(max_m: int) -> AssocPoly:
     """Cross-check the three series routes at grades 1..max_m; raise on any
-    mismatch."""
+    mismatch.  Returns the two-generator word series through max_m."""
     words = log_product(max_m, 2)
     for m in range(1, max_m + 1):
         phi = expand_lie(bch_term(m, 2))
@@ -160,6 +161,7 @@ def run_verification(max_m: int) -> None:
             raise VerificationError(
                 f"series routes disagree at grade {m}; refusing to print"
             )
+    return words
 
 
 def _symmetric_words(max_m: int) -> AssocPoly:
@@ -174,10 +176,12 @@ def _symmetric_words(max_m: int) -> AssocPoly:
 
 
 def verify_series(terms: dict[int, LieExpr], nvars: int, symmetric: bool) -> None:
-    """Check each grade's printed expression against the word route; raise
-    on any mismatch."""
+    """Cross-check the series routes, then each grade's printed expression
+    against the word route; raise on any mismatch."""
     top = max(terms)
-    words = _symmetric_words(top) if symmetric else log_product(top, nvars)
+    words = run_verification(top)
+    if symmetric or nvars != 2:
+        words = _symmetric_words(top) if symmetric else log_product(top, nvars)
     for m, expr in terms.items():
         if expand_lie(expr) != words.homogeneous_part(m):
             raise VerificationError(
@@ -285,10 +289,18 @@ def _identities_header(report: IdentityReport) -> str:
 
 def cmd_identities(args: argparse.Namespace) -> str:
     report = identities_and_basis(args.grade)
-    if args.verify and len(report.basis) != _lie_dimension(args.grade):
-        raise VerificationError(
-            f"grade {args.grade} basis disagrees with Witt's formula; refusing to print"
-        )
+    if args.verify:
+        run_verification(args.grade)
+        if len(report.basis) != _lie_dimension(args.grade):
+            raise VerificationError(
+                f"grade {args.grade} basis disagrees with Witt's formula; "
+                "refusing to print"
+            )
+        if any(expand_lie(ident) for ident in report.identities):
+            raise VerificationError(
+                f"grade {args.grade} identity does not expand to zero; "
+                "refusing to print"
+            )
     if args.format == "json":
         return json.dumps(_identities_json(report), indent=2) + "\n"
     if args.format == "latex":
@@ -331,22 +343,16 @@ def _table_rows(max_m: int, rows: tuple[str, ...]) -> dict[str, dict]:
 def cmd_table(args: argparse.Namespace) -> str:
     rows = TABLE_ROWS if args.row == "all" else (args.row,)
     data = _table_rows(args.max_grade, rows)
+    if args.verify:
+        run_verification(args.max_grade)
+        witt = tuple(_lie_dimension(m) for m in range(2, args.max_grade + 1))
+        if "dim" in data and data["dim"]["computed"] != witt:
+            raise VerificationError(
+                "dim row disagrees with Witt's formula; refusing to print"
+            )
     if args.format == "json":
-        doc = {
-            "meta": {
-                "max_grade": args.max_grade,
-                "version": __version__,
-            },
-            "rows": {
-                row: {
-                    "computed": list(info["computed"]),
-                    "published": list(info["published"]),
-                    "match": info["match"],
-                }
-                for row, info in data.items()
-            },
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        meta = {"max_grade": args.max_grade, "version": __version__}
+        return json.dumps({"meta": meta, "rows": data}, indent=2) + "\n"
     head = f"terms per grade, m = 2..{args.max_grade}"
     sep = " & " if args.format == "latex" else "   "
     eol = " \\\\" if args.format == "latex" else ""
@@ -476,8 +482,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     try:
-        if args.verify:
-            run_verification(grade)
         handler = {
             "bch": cmd_bch,
             "symbch": cmd_symbch,

@@ -15,7 +15,7 @@ from bchnest.cli import (
     series_latex,
     series_text,
 )
-from bchnest.series import log_product_words
+from bchnest.series import log_product, log_product_words
 from bchnest.terms import AssocPoly, LieExpr
 
 F = Fraction
@@ -305,6 +305,25 @@ def test_verify_builds_each_word_series_once(capsys, monkeypatch):
     assert 0 < len(calls) <= 2 * single
 
 
+def test_bch_verify_builds_one_two_generator_series(capsys, monkeypatch):
+    # The cross-check of the series routes and the check of the printed
+    # two-generator series read the same truncated word series.
+    real = AssocPoly.concat
+    calls = []
+
+    def counted(self, other, max_grade=None):
+        calls.append(max_grade)
+        return real(self, other, max_grade)
+
+    monkeypatch.setattr(AssocPoly, "concat", counted)
+    log_product(6, 2)
+    single = len(calls)
+    calls.clear()
+    code, _, _ = run_cli(capsys, "bch", "--grade", "6", "--verify", "--format", "json")
+    assert code == 0
+    assert 0 < len(calls) <= single
+
+
 def test_identities_verify_checks_basis_size(capsys, monkeypatch):
     real = cli.identities_and_basis
 
@@ -317,6 +336,42 @@ def test_identities_verify_checks_basis_size(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "grade 6" in err
+
+
+def test_identities_verify_checks_identity_expansion(capsys, monkeypatch):
+    real = cli.identities_and_basis
+
+    def corrupted_identity(m):
+        report = real(m)
+        first = report.identities[0]
+        changed = dict(first.terms)
+        leaves = min(changed)
+        changed[leaves] += 1
+        return dataclasses.replace(
+            report, identities=(LieExpr(changed),) + report.identities[1:]
+        )
+
+    monkeypatch.setattr(cli, "identities_and_basis", corrupted_identity)
+    code, out, err = run_cli(capsys, "identities", "--grade", "6", "--verify")
+    assert code == 2
+    assert out == ""
+    assert "grade 6" in err
+
+
+def test_table_verify_checks_dim_row(capsys, monkeypatch):
+    real = cli.identities_and_basis
+
+    def short_basis(m):
+        report = real(m)
+        return dataclasses.replace(report, basis=report.basis[:-1])
+
+    monkeypatch.setattr(cli, "identities_and_basis", short_basis)
+    code, out, err = run_cli(
+        capsys, "table", "--max-grade", "6", "--row", "dim", "--verify"
+    )
+    assert code == 2
+    assert out == ""
+    assert "dim" in err
 
 
 def test_unwritable_output_exits_three(tmp_path, capsys):

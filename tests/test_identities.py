@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from bchnest import identities, terms
 from bchnest.identities import (
     ExactMatrix,
     apply_regime,
@@ -159,7 +160,7 @@ def test_basis_dimensions():
 
 
 def test_identity_counts_split_enumeration():
-    for m in range(2, 9):
+    for m in range(2, 11):
         rep = identities_and_basis(m)
         assert len(rep.basis) + len(rep.identities) == 2 ** (m - 2)
         assert set(rep.basis).isdisjoint(
@@ -168,11 +169,29 @@ def test_identity_counts_split_enumeration():
 
 
 def test_identities_expand_to_zero():
-    for m in (4, 5, 6, 7):
+    # The library does not re-check this at run time: an identity's word
+    # part cancels exactly in the elimination, so this is the guard.
+    for m in range(2, 11):
         for ident in identities_and_basis(m).identities:
             assert not expand_lie(ident)
             # Normalization: +1 on the lex-greatest commutator.
             assert ident.terms[max(ident.terms)] == F(1)
+
+
+def test_identities_expand_each_commutator_once(monkeypatch):
+    # Cold elimination expands every commutator once and re-expands nothing.
+    calls = []
+    real = terms.expand_nested
+
+    def counted(leaves):
+        calls.append(leaves)
+        return real(leaves)
+
+    monkeypatch.setattr(terms, "expand_nested", counted)
+    monkeypatch.setattr(identities, "expand_nested", counted)
+    identities_and_basis.cache_clear()
+    identities_and_basis(10)
+    assert len(calls) == len(enumerate_nested(10)) == 256
 
 
 # sha256 of every identity's terms for grades 2..10 in their stored key
