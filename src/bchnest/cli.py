@@ -10,12 +10,12 @@ never floats), and LaTeX (nested brackets or the comma-list shorthand
 documents.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure (--verify
-cross-checks the permutation-sum series against the two independent oracle
-routes at every grade up to the requested one, then what is printed: the
-word expansion of every grade bch and symbch print, reduced or not, and of
-every identity identities prints, which must vanish, and the basis size and
-table's dim row against Witt's formula; it refuses to emit anything on a
-mismatch), 3 the --output file cannot be written.
+checks what is printed and emits nothing on a mismatch: bch, symbch and
+table cross-check the series routes at every grade up to the requested one,
+bch and symbch the word expansion of every printed grade, table its dim row
+against Witt's formula; identities checks its basis size and novel count
+against Witt's formula and that every printed identity expands to zero),
+3 the --output file cannot be written.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from bchnest.identities import (
     IdentityReport,
     identities_and_basis,
     lifted_identities,
-    relation_rules,
     series_term,
     table_counts,
 )
@@ -47,7 +46,7 @@ TABLE_ROWS = ("dim", "none", "grade4", "grade6", "compact", "symmetric")
 
 
 class VerificationError(Exception):
-    """Raised when --verify finds the oracle routes disagreeing."""
+    """Raised when --verify finds a printed result disagreeing with its check."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,6 +195,13 @@ def _lie_dimension(m: int) -> int:
     return (2**m - sum(d * _lie_dimension(d) for d in range(1, m) if m % d == 0)) // m
 
 
+def _witt_novel(m: int) -> int:
+    # i(m) - 2 i(m-1): i(k) = 2^(k-2) - L(k) identities hold at grade k >= 2
+    # (i(1) = 0), and the lifts of the grade-(m-1) ones have rank 2 i(m-1).
+    i = [2 ** (k - 2) - _lie_dimension(k) if k > 1 else 0 for k in (m - 1, m)]
+    return i[1] - 2 * i[0]
+
+
 def _emit(text: str, path: str | None) -> int:
     """Write the document to stdout or path; returns the exit code."""
     if path is None:
@@ -254,9 +260,9 @@ def cmd_symbch(args: argparse.Namespace) -> str:
 
 def _novel_count(report: IdentityReport) -> int:
     # Identities beyond the span of ad-prefix lifts from lower grades; the
-    # published per-grade identity counts quote exactly these.
-    lifted_rank = len(relation_rules(lifted_identities(report.grade)))
-    return len(report.identities) - lifted_rank
+    # published per-grade identity counts quote exactly these.  The lifts
+    # are independent, so their number is their rank.
+    return len(report.identities) - len(lifted_identities(report.grade))
 
 
 def _identities_json(report: IdentityReport) -> dict:
@@ -290,7 +296,6 @@ def _identities_header(report: IdentityReport) -> str:
 def cmd_identities(args: argparse.Namespace) -> str:
     report = identities_and_basis(args.grade)
     if args.verify:
-        run_verification(args.grade)
         if len(report.basis) != _lie_dimension(args.grade):
             raise VerificationError(
                 f"grade {args.grade} basis disagrees with Witt's formula; "
@@ -300,6 +305,11 @@ def cmd_identities(args: argparse.Namespace) -> str:
             raise VerificationError(
                 f"grade {args.grade} identity does not expand to zero; "
                 "refusing to print"
+            )
+        if _novel_count(report) != _witt_novel(args.grade):
+            raise VerificationError(
+                f"grade {args.grade} novel identity count disagrees with "
+                "Witt's formula; refusing to print"
             )
     if args.format == "json":
         return json.dumps(_identities_json(report), indent=2) + "\n"
@@ -382,7 +392,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check the series routes and the printed terms first",
+        help="check what is printed against independent routes first",
     )
     p.add_argument(
         "--unsafe-grade",

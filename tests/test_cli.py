@@ -358,6 +358,63 @@ def test_identities_verify_checks_identity_expansion(capsys, monkeypatch):
     assert "grade 6" in err
 
 
+def test_identities_verify_checks_novel_count(capsys, monkeypatch):
+    real = cli.lifted_identities
+    monkeypatch.setattr(cli, "lifted_identities", lambda m: real(m)[1:])
+    code, out, _ = run_cli(capsys, "identities", "--grade", "6")
+    assert code == 0
+    assert "(4 beyond lifts from lower grades)" in out
+    code, out, err = run_cli(capsys, "identities", "--grade", "6", "--verify")
+    assert code == 2
+    assert out == ""
+    assert "grade 6" in err
+
+
+def test_identities_verify_skips_series_check(capsys, monkeypatch):
+    # identities prints no series, so --verify neither builds nor checks one.
+    code, plain, _ = run_cli(capsys, "identities", "--grade", "6")
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("identities built a series")
+
+    monkeypatch.setattr(cli, "run_verification", refuse)
+    monkeypatch.setattr(cli, "bch_term", refuse)
+    monkeypatch.setattr(identities, "bch_term", refuse)
+    code, out, _ = run_cli(capsys, "identities", "--grade", "6", "--verify")
+    assert code == 0
+    assert out == plain
+
+
+def test_identities_builds_only_its_own_and_the_previous_grade(
+    capsys, monkeypatch
+):
+    grades = []
+    real = identities.enumerate_nested
+
+    def recorded(m):
+        grades.append(m)
+        return real(m)
+
+    calls = []
+    real_rules = identities.relation_rules
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_rules(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "enumerate_nested", recorded)
+    monkeypatch.setattr(identities, "relation_rules", counted)
+    identities.identities_and_basis.cache_clear()
+    identities.lifted_identities.cache_clear()
+    code, _, _ = run_cli(capsys, "identities", "--grade", "10")
+    assert code == 0
+    assert identities.identities_and_basis.cache_info().misses == 2
+    assert sorted(grades) == [9, 10]
+    assert calls == []
+    assert not hasattr(cli, "relation_rules")
+
+
 def test_table_verify_checks_dim_row(capsys, monkeypatch):
     real = cli.identities_and_basis
 

@@ -5,6 +5,7 @@ import hashlib
 import pstats
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -212,11 +213,38 @@ def test_novel_identity_counts():
     # New identities per grade, beyond ad-prefixed lifts from lower grades:
     # one at grade 4, none at grade 5, three at grade 6, none at grade 7.
     counts = []
-    for m in (4, 5, 6, 7):
+    for m in range(2, 11):
         rep = identities_and_basis(m)
         lifted_rank = len(relation_rules(lifted_identities(m)))
         counts.append(len(rep.identities) - lifted_rank)
-    assert counts == [1, 0, 3, 0]
+    assert counts == [0, 0, 1, 0, 3, 0, 6, 4, 13]
+
+
+def _all_lower_grade_lifts(m):
+    # Every ad-prefix lift of every identity below grade m, by every prefix.
+    return [
+        LieExpr({prefix + leaves: c for leaves, c in ident.terms.items()})
+        for g in range(2, m)
+        for ident in identities_and_basis(g).identities
+        for prefix in product((0, 1), repeat=m - g)
+    ]
+
+
+def test_lifted_identities_are_independent():
+    assert lifted_identities(2) == ()
+    assert len(lifted_identities(10)) == 144
+    for m in range(2, 11):
+        lifts = lifted_identities(m)
+        assert len(relation_rules(lifts)) == len(lifts)
+
+
+def test_lifted_identities_span_every_lower_grade_lift():
+    for m in range(2, 11):
+        lifts = list(lifted_identities(m))
+        oracle = _all_lower_grade_lifts(m)
+        rank = len(relation_rules(lifts))
+        assert len(relation_rules(oracle)) == rank
+        assert len(relation_rules(lifts + oracle)) == rank
 
 
 def test_lifted_identities_vanish_and_stay_in_grade():
