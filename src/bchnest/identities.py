@@ -11,9 +11,11 @@ matrix, augmented with an identity block, and its reduced form are built
 only on demand, for the grade-4 worked example.
 
 All row reduction is fraction-free: ``_eliminate`` clears one column of an
-integer row, and ``_pivot_rows`` builds the fully reduced pivot rows behind
-the reduced form, the rules and the search's sampled bases.  Fractions
-appear only at the edges, in expansions, identities, rules and results.
+integer row.  ``_echelon`` takes the pivot rows of a forward pass, which is
+all the search's sampled bases need, and ``_pivot_rows`` back-substitutes
+them into the fully reduced pivot rows behind the reduced form and the
+rules.  Fractions appear only at the edges, in expansions, identities,
+rules and results.
 
 Rewrite machinery re-expresses series terms over a basis, either with the
 full grade-m identity set or with the fixed grade-4/grade-6 tail rules whose
@@ -31,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -209,6 +211,12 @@ Rules = dict[Leaves, dict[Leaves, Fraction]]
 # lowest terms.
 Block = tuple[dict[Leaves, int], int]
 
+# One block search's descent steps: a block's values, as its (leaves,
+# numerator) pairs and denominator, to the step taken from it.  A stored
+# block is handed to every descent that reaches it, so no search code
+# changes a block in place; moves and samples work on copies.
+Steps = dict[tuple[frozenset[tuple[Leaves, int]], int], Block | None]
+
 
 def _to_int(terms: dict[K, Fraction]) -> tuple[dict[K, int], int]:
     """Numerators over the lcm of the reduced denominators, key order kept."""
@@ -255,13 +263,13 @@ def _eliminate(row: dict[K, int], pick: dict[K, int], col: K, den: int = 0) -> i
     return den
 
 
-def _pivot_rows(rows: list[dict[K, int]], order: Iterable[K]) -> dict[K, dict[K, int]]:
-    """Fraction-free Gauss-Jordan elimination on integer rows, in place.
+def _echelon(rows: list[dict[K, int]], order: Iterable[K]) -> dict[K, dict[K, int]]:
+    """Forward pass of fraction-free elimination on integer rows, in place.
 
     Per column in order, the first remaining row holding it becomes its
-    pivot row and clears it from every other row, earlier pivot rows
-    included.  Returns the pivot rows by column, in the order taken; none
-    holds another pivot's column.
+    pivot row and clears it from the rows still remaining.  Returns the
+    pivot rows by column, in the order taken; none holds the column of a
+    pivot taken before it.
     """
     pivots: dict[K, dict[K, int]] = {}
     for col in order:
@@ -271,10 +279,31 @@ def _pivot_rows(rows: list[dict[K, int]], order: Iterable[K]) -> dict[K, dict[K,
         if pick is None:
             continue
         rows = [r for r in rows if r is not pick]
-        for row in chain(rows, pivots.values()):
+        for row in rows:
             if col in row:
                 _eliminate(row, pick, col)
         pivots[col] = pick
+    return pivots
+
+
+def _pivot_rows(rows: list[dict[K, int]], order: Iterable[K]) -> dict[K, dict[K, int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows, in place.
+
+    The echelon rows of ``_echelon``, then back-substitution: in the order
+    taken, each pivot row clears its column from the pivot rows taken
+    before it, while it is still as the forward pass left it.  Each row
+    thus meets the same eliminations in the same order as when every
+    pivot clears all other rows at once, so the rows and their key orders
+    are those of that single pass.  Returns the pivot rows by column, in
+    the order taken; none holds another pivot's column.
+    """
+    pivots = _echelon(rows, order)
+    done: list[dict[K, int]] = []
+    for col, pick in pivots.items():
+        for row in done:
+            if col in row:
+                _eliminate(row, pick, col)
+        done.append(pick)
     return pivots
 
 
@@ -470,35 +499,62 @@ def _move(block: Block, rel: dict[Leaves, int], col: Leaves) -> Block:
     return nums, _eliminate(nums, rel, col, block[1])
 
 
+def _step(block: Block, rels: Sequence[dict[Leaves, int]]) -> Block | None:
+    # One steepest-descent step over single-relation moves
+    # t -> t - (t_c / r_c) * r, each of which zeroes one shared term: the
+    # move that ranks first, or None if none ranks before block.  A move is
+    # built only when its counted size can tie or beat the best so far.  A
+    # function of the block's values alone, whatever its key order.
+    nums = block[0]
+    best = block
+    best_len = len(nums)
+    for rel in rels:
+        for leaves in rel:
+            if leaves not in nums:
+                continue
+            size = _moved_len(nums, rel, leaves)
+            if size > best_len:
+                continue
+            move = _move(block, rel, leaves)
+            if _ranks_before(move, best):
+                best, best_len = move, size
+    return None if best is block else best
+
+
 def _descend(
     current: Block,
     rels: Sequence[dict[Leaves, int]],
     meter: list[int],
     budget: int,
+    steps: Steps,
 ) -> Block:
-    # Steepest descent on single-relation moves t -> t - (t_c / r_c) * r,
-    # each of which zeroes one shared term.  A move is built only when its
-    # counted size can tie or beat the best so far.  The meter counts
-    # adopted candidate representations, not probed moves.
+    # Steepest descent: ``_step`` until no move ranks first or the budget
+    # runs out.  Each step is computed once per search and looked up in
+    # steps after that, so a descent from a block already descended from
+    # follows the stored chain.  The meter counts adopted steps, looked up
+    # or not, so a descent cut short stops at the same block either way.
     while meter[0] < budget:
-        nums = current[0]
-        best = current
-        best_len = len(nums)
-        for rel in rels:
-            for leaves in rel:
-                if leaves not in nums:
-                    continue
-                size = _moved_len(nums, rel, leaves)
-                if size > best_len:
-                    continue
-                move = _move(current, rel, leaves)
-                if _ranks_before(move, best):
-                    best, best_len = move, size
-        if best is current:
+        key = (frozenset(current[0].items()), current[1])
+        if key not in steps:
+            steps[key] = _step(current, rels)
+        nxt = steps[key]
+        if nxt is None:
             break
         meter[0] += 1
-        current = best
+        current = nxt
     return current
+
+
+def _cleared(start: Block, pivots: dict[Leaves, dict[Leaves, int]]) -> Block:
+    # start with every pivot column cleared, pivot rows applied in order.
+    # Echelon rows in the order taken hold no earlier pivot's column, so a
+    # cleared column stays clear: the result is zero on every pivot column,
+    # the one such block, as with the fully reduced rows.
+    nums, den = dict(start[0]), start[1]
+    for col, prow in pivots.items():
+        if col in nums:
+            den = _eliminate(nums, prow, col, den)
+    return nums, den
 
 
 def _sample_bases(
@@ -507,6 +563,7 @@ def _sample_bases(
     meter: list[int],
     budget: int,
     rng: random.Random,
+    steps: Steps,
 ) -> Block:
     # Rewrite onto bases drawn at random: a shuffle picks which commutators
     # get eliminated, its last first, and each resulting representation is
@@ -518,11 +575,8 @@ def _sample_bases(
         meter[0] += 1
         perm = list(support)
         rng.shuffle(perm)
-        nums, den = dict(start[0]), start[1]
-        for col, prow in _pivot_rows([dict(r) for r in rels], reversed(perm)).items():
-            if col in nums:
-                den = _eliminate(nums, prow, col, den)
-        cand = _descend((nums, den), rels, meter, budget)
+        pivots = _echelon([dict(r) for r in rels], reversed(perm))
+        cand = _descend(_cleared(start, pivots), rels, meter, budget, steps)
         if _ranks_before(cand, best):
             best = cand
     return best
@@ -534,12 +588,13 @@ def _anneal(
     meter: list[int],
     budget: int,
     rng: random.Random,
+    steps: Steps,
 ) -> Block:
     # Random walk that tolerates slightly larger intermediates, polishing
     # with descent whenever it ties the best and restarting from the best
     # whenever it drifts too long without improving on it.  A move's size
     # change is counted; the move is built only when the walk takes it.
-    best = _descend(start, rels, meter, budget)
+    best = _descend(start, rels, meter, budget, steps)
     current = best
     drift = 0
     while meter[0] < budget:
@@ -547,23 +602,18 @@ def _anneal(
         rel = rels[rng.randrange(len(rels))]
         nums = current[0]
         shared = [l2 for l2 in rel if l2 in nums]
-        if not shared:
-            drift += 1
-            if drift > 300:
-                current = best
-                drift = 0
-            continue
-        leaves = shared[rng.randrange(len(shared))]
-        delta = _moved_len(nums, rel, leaves) - len(nums)
-        if delta <= 0 or (delta == 1 and rng.random() < 0.35) or (
-            delta == 2 and rng.random() < 0.05
-        ):
-            current = _move(current, rel, leaves)
-            if len(current[0]) <= len(best[0]):
-                settled = _descend(current, rels, meter, budget)
-                if _ranks_before(settled, best):
-                    best = current = settled
-                    drift = 0
+        if shared:
+            leaves = shared[rng.randrange(len(shared))]
+            delta = _moved_len(nums, rel, leaves) - len(nums)
+            if delta <= 0 or (delta == 1 and rng.random() < 0.35) or (
+                delta == 2 and rng.random() < 0.05
+            ):
+                current = _move(current, rel, leaves)
+                if len(current[0]) <= len(best[0]):
+                    settled = _descend(current, rels, meter, budget, steps)
+                    if _ranks_before(settled, best):
+                        best = current = settled
+                        drift = 0
         drift += 1
         if drift > 300:
             current = best
@@ -583,7 +633,12 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     The search holds each block as integer numerators over one denominator
     and each identity as a primitive integer vector, scores a move by
     counting the terms it would cancel and builds only the moves it keeps;
-    Fractions appear only in the seeds and in the result.
+    Fractions appear only in the seeds and in the result.  Each block's
+    search keeps the descent steps it has taken, keyed by the block's
+    values, and drops them when the block is done; a descent that reaches
+    a block stepped from before follows the stored steps, metered as if
+    taken again.  A sampled basis is reached with echelon rows alone, with
+    no back-substitution.
     Deterministic for fixed inputs; exact; makes no optimality claim.  A
     negative budget is refused.
     """
@@ -636,8 +691,9 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
             share = max(1, budget * len(rels) // max(1, total_rels))
             meter = [0]
             rng = random.Random(m * 1009 + key)
-            best = _sample_bases(best, rels, meter, share * 3 // 5, rng)
-            best = _anneal(best, rels, meter, share, rng)
+            steps: Steps = {}
+            best = _sample_bases(best, rels, meter, share * 3 // 5, rng, steps)
+            best = _anneal(best, rels, meter, share, rng, steps)
         out.update((k, Fraction(v, best[1])) for k, v in best[0].items())
     return LieExpr._from_clean(out)
 

@@ -431,6 +431,31 @@ def test_table_verify_checks_dim_row(capsys, monkeypatch):
     assert "dim" in err
 
 
+def test_table_verify_checks_series_only_for_series_rows(capsys, monkeypatch):
+    # The dim row counts basis commutators, not series terms, so it needs
+    # only its Witt check; any other row brings the series cross-check.
+    code, plain, _ = run_cli(capsys, "table", "--max-grade", "6", "--row", "dim")
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("table --row dim built a series")
+
+    monkeypatch.setattr(cli, "run_verification", refuse)
+    code, out, _ = run_cli(
+        capsys, "table", "--max-grade", "6", "--row", "dim", "--verify"
+    )
+    assert code == 0
+    assert out == plain
+
+    calls = []
+    monkeypatch.setattr(cli, "run_verification", calls.append)
+    code, _, _ = run_cli(
+        capsys, "table", "--max-grade", "6", "--row", "compact", "--verify"
+    )
+    assert code == 0
+    assert calls == [6]
+
+
 def test_unwritable_output_exits_three(tmp_path, capsys):
     for path in (tmp_path / "missing" / "out.txt", tmp_path):
         code, out, err = run_cli(capsys, "bch", "--grade", "2", "--output", str(path))

@@ -399,14 +399,17 @@ def test_series_term_dispatch():
     assert apply_regime(z, 6, "grade4") is z
 
 
-def _seeded_library_exprs() -> list[tuple[int, LieExpr]]:
-    # Twelve grade 6-8 expressions: random supports of 3/8 of the grade's
-    # commutators, numerators -9..9 without 0 over denominators 1..12, so
-    # each search block starts from a common denominator other than 1.
-    rng = random.Random(2006)
+def _seeded_exprs(
+    seed: int, count: int, grades: tuple[int, ...]
+) -> list[tuple[int, LieExpr]]:
+    # Expressions of the grades in turn: random supports of 3/8 of the
+    # grade's commutators, numerators -9..9 without 0 over denominators
+    # 1..12, so each search block starts from a common denominator other
+    # than 1.
+    rng = random.Random(seed)
     exprs = []
-    for i in range(12):
-        m = 6 + i % 3
+    for i in range(count):
+        m = grades[i % len(grades)]
         comms = enumerate_nested(m)
         support = rng.sample(comms, 3 * len(comms) // 8)
         exprs.append((m, LieExpr({
@@ -416,23 +419,60 @@ def _seeded_library_exprs() -> list[tuple[int, LieExpr]]:
     return exprs
 
 
-# sha256 of the budget-1000 compactions of _seeded_library_exprs(), one
-# sorted 'leaves:coeff' line per expression, frozen before the search ran on
-# integers.
+def _compaction_line(expr: LieExpr) -> str:
+    return " ".join(
+        "".join(map(str, leaves)) + ":" + str(c)
+        for leaves, c in sorted(expr.terms.items())
+    )
+
+
+# sha256 of the budget-1000 compactions of twelve seeded grade 6-8
+# expressions, one sorted 'leaves:coeff' line per expression, frozen before
+# the search ran on integers.
 LIBRARY_PIN = "e754b0fa035adcaa56aa483f819f4f178eaf7a1276306b34d286bba02527ea4c"
 
 
 def test_compact_reduce_library_pin():
     lines = []
-    for m, expr in _seeded_library_exprs():
+    for m, expr in _seeded_exprs(2006, 12, (6, 7, 8)):
         out = compact_reduce(expr, m, 1000)
         assert expand_lie(out) == expand_lie(expr)
-        lines.append(" ".join(
-            "".join(map(str, leaves)) + ":" + str(c)
-            for leaves, c in sorted(out.terms.items())
-        ))
+        lines.append(_compaction_line(out))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == LIBRARY_PIN
+
+
+# sha256 of the compactions of eight seeded grade 6-7 expressions and of
+# bch_term(6) and bch_term(7) at budgets that cut the search off within its
+# first few sampled bases and descent steps, each line followed by the next
+# draw of every block's generator; frozen from the search that re-ran every
+# descent step.
+SMALL_BUDGET_PIN = "97e4311e8d80032783434cb5135fac6d1e7291552678805742cfe5aca8da912b"
+
+
+def test_compact_reduce_small_budget_pin(monkeypatch):
+    # Each block's search draws from its own generator for as long as its
+    # meter allows, so the generators' next draws record where every search
+    # stopped, also where the result does not show it.
+    exprs = _seeded_exprs(6007, 8, (6, 7)) + [(m, bch_term(m, 2)) for m in (6, 7)]
+    rngs: list[random.Random] = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed: int) -> None:
+            super().__init__(seed)
+            rngs.append(self)
+
+    monkeypatch.setattr(identities.random, "Random", Recorded)
+    lines = []
+    for budget in (0, 1, 2, 5, 17, 60):
+        for m, expr in exprs:
+            rngs.clear()
+            out = compact_reduce(expr, m, budget)
+            assert expand_lie(out) == expand_lie(expr)
+            draws = " ".join(str(r.getrandbits(32)) for r in rngs)
+            lines.append(f"{budget} {_compaction_line(out)} | {draws}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SMALL_BUDGET_PIN
 
 
 def test_compact_search_constructs_few_fractions():
@@ -452,3 +492,74 @@ def test_compact_search_constructs_few_fractions():
         if name == "__new__" and path.endswith("fractions.py")
     )
     assert made <= 4_000
+
+
+def _warm_grade8_compaction(monkeypatch, name, wrap):
+    # A warm compact_reduce(bch_term(8, 2), 8) with identities.<name>
+    # replaced by wrap(the real function).
+    e = bch_term(8, 2)
+    warm = compact_reduce(e, 8)
+    monkeypatch.setattr(identities, name, wrap(getattr(identities, name)))
+    assert compact_reduce(e, 8) == warm
+
+
+def test_compact_search_steps_from_each_block_once(monkeypatch):
+    # Each block's search keeps its descent steps, so no block is stepped
+    # from twice; before the steps were kept, 2 437 of the 2 942 descents
+    # here started from a block already descended from.
+    keys = []
+
+    def wrap(real):
+        def recorded(block, rels):
+            keys.append((frozenset(block[0].items()), block[1]))
+            return real(block, rels)
+        return recorded
+
+    _warm_grade8_compaction(monkeypatch, "_step", wrap)
+    assert keys
+    assert len(set(keys)) == len(keys)
+
+
+def test_compact_search_probes_few_moves(monkeypatch):
+    # 78 692 moves probed when every descent re-ran its steps, 12 778 now;
+    # the count repeats exactly from run to run.
+    calls = [0]
+
+    def wrap(real):
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+        return counted
+
+    _warm_grade8_compaction(monkeypatch, "_moved_len", wrap)
+    assert 0 < calls[0] <= 20_000
+
+
+def test_sampled_basis_needs_no_back_substitution():
+    # The block cleared with the echelon rows in the order taken equals the
+    # block cleared with the fully reduced pivot rows, on random blocks
+    # under random column orders, for every block at grades 6-9.
+    rng = random.Random(6009)
+    for m in range(6, 10):
+        rel_blocks = {}
+        for ident in identities_and_basis(m).identities:
+            rel_blocks.setdefault(max(ident.terms).count(0), []).append(
+                identities._primitive(ident.terms)
+            )
+        comms = enumerate_nested(m)
+        for key, rels in rel_blocks.items():
+            block = [c for c in comms if c.count(0) == key]
+            support = sorted({l for r in rels for l in r})
+            for _ in range(4):
+                start = identities._to_int({
+                    c: F(rng.choice([n for n in range(-9, 10) if n]), rng.randint(1, 12))
+                    for c in rng.sample(block, max(1, len(block) // 2))
+                })
+                perm = support[:]
+                rng.shuffle(perm)
+                echelon = identities._echelon([dict(r) for r in rels], perm)
+                reduced = identities._pivot_rows([dict(r) for r in rels], perm)
+                assert list(echelon) == list(reduced)
+                nums, den = identities._cleared(start, echelon)
+                assert not any(col in nums for col in reduced)
+                assert (nums, den) == identities._cleared(start, reduced)
