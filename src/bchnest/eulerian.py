@@ -46,21 +46,30 @@ def eulerian_number(n: int, d: int) -> int:
     return (d + 1) * eulerian_number(n - 1, d) + (n - d) * eulerian_number(n - 1, d - 1)
 
 
-def multilinear_words(gens: Sequence[int]) -> AssocPoly:
-    """Word form: sum over all permutations of the given generators."""
-    gens = tuple(gens)
-    n = len(gens)
-    if n < 1:
-        raise ValueError("need at least one generator")
+def _descent_classes(items: tuple[int, ...]) -> dict[tuple[tuple[int, ...], int], int]:
+    # Integer multiplicities per (image word, descent count), so Fraction
+    # arithmetic happens once per distinct key, not once per permutation.
+    # At n=10 this is the hot loop of the whole package.
+    n = len(items)
     counts: dict[tuple[tuple[int, ...], int], int] = {}
     for perm in permutations(range(n)):
         d = 0
         for i in range(n - 1):
             if perm[i] > perm[i + 1]:
                 d += 1
-        word = tuple(gens[p] for p in perm)
+        word = tuple(items[p] for p in perm)
         key = (word, d)
         counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def multilinear_words(gens: Sequence[int]) -> AssocPoly:
+    """Word form: sum over all permutations of the given generators."""
+    gens = tuple(gens)
+    n = len(gens)
+    if n < 1:
+        raise ValueError("need at least one generator")
+    counts = _descent_classes(gens)
     return AssocPoly._from_clean(
         accumulate(
             {}, ((word, k * eulerian_coeff(n, d)) for (word, d), k in counts.items())
@@ -84,19 +93,7 @@ def multilinear_nested(gens: Sequence[int]) -> LieExpr:
         raise ValueError("need at least two generators")
     anchor = gens[-1]
     rest = gens[:-1]
-    # Aggregate integer multiplicities per (image word, descent count) first;
-    # Fraction arithmetic happens once per distinct key, not once per
-    # permutation.  At n=10 this is the hot loop of the whole package.
-    counts: dict[tuple[tuple[int, ...], int], int] = {}
-    for perm in permutations(range(n - 1)):
-        d = 0
-        for i in range(n - 2):
-            if perm[i] > perm[i + 1]:
-                d += 1
-        word = tuple(rest[p] for p in perm)
-        key = (word, d)
-        counts[key] = counts.get(key, 0) + 1
     return LieExpr.from_raw(
         (word + (anchor,), k * eulerian_coeff(n, d))
-        for (word, d), k in counts.items()
+        for (word, d), k in _descent_classes(rest).items()
     )

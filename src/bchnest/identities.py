@@ -21,10 +21,10 @@ Rewrite machinery re-expresses series terms over a basis, either with the
 full grade-m identity set or with the fixed grade-4/grade-6 tail rules whose
 ad-prefixed lifts reproduce the published reduced rows, and a budgeted
 deterministic search looks for representations with fewer nonzero terms.
-The search runs on integers: each block is held as integer numerators over
-one denominator in lowest terms, each identity as a primitive integer
-vector, and a move's size is counted before the move is built.  It stays
-exact, and it is deterministic for fixed inputs.
+The search runs on integers: each block of the input is converted once to
+integer numerators over one denominator in lowest terms, each identity is a
+primitive integer vector, and seeds and moves are built by integer
+elimination.  It stays exact, and it is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 from bchnest.series import bch_term, symmetric_bch_term
 from bchnest.terms import (
@@ -307,25 +307,19 @@ def _pivot_rows(rows: list[dict[K, int]], order: Iterable[K]) -> dict[K, dict[K,
     return pivots
 
 
-def relation_rules(
-    relations: Iterable[LieExpr],
-    priority: Callable[[Leaves], object] | None = None,
-) -> Rules:
+def relation_rules(relations: Iterable[LieExpr]) -> Rules:
     """Turn vanishing combinations into substitution rules pivot -> rest.
 
     Runs exact elimination over the relations with columns visited in
-    decreasing `priority` (default: plain lexicographic order, so the
-    lex-greatest commutator of each independent relation gets rewritten in
-    terms of earlier ones).  The outcome depends only on the span of the
-    relations and the priority, not on their order.  Rule right-hand sides
-    never mention pivots, so a single substitution pass fully reduces any
-    expression.  The relations are reduced by ``_pivot_rows`` as primitive
-    integer rows; only the rules are Fractions.
+    decreasing lexicographic order, so the lex-greatest commutator of each
+    independent relation gets rewritten in terms of earlier ones.  The
+    outcome depends only on the span of the relations, not on their order.
+    Rule right-hand sides never mention pivots, so a single substitution
+    pass fully reduces any expression.  The relations are reduced by
+    ``_pivot_rows`` as primitive integer rows; only the rules are Fractions.
     """
-    if priority is None:
-        priority = lambda leaves: leaves
     rows = [_primitive(r.terms) for r in relations if r.terms]
-    order = sorted({l for r in rows for l in r}, key=priority, reverse=True)
+    order = sorted({l for r in rows for l in r}, reverse=True)
     return {
         col: {l: Fraction(-v, prow[col]) for l, v in prow.items() if l != col}
         for col, prow in _pivot_rows(rows, order).items()
@@ -557,6 +551,18 @@ def _cleared(start: Block, pivots: dict[Leaves, dict[Leaves, int]]) -> Block:
     return nums, den
 
 
+def _rule_rows(rules: Rules, key: int) -> dict[Leaves, dict[Leaves, int]]:
+    # The rules on commutators with key X's as integer rows c - rhs, by c.
+    # No right-hand side holds a ruled commutator, so clearing a block with
+    # these rows applies the rules.
+    rows: dict[Leaves, dict[Leaves, int]] = {}
+    for c, rhs in rules.items():
+        if c.count(0) == key:
+            nums, den = _to_int(rhs)
+            rows[c] = {c: den, **{l2: -v for l2, v in nums.items()}}
+    return rows
+
+
 def _sample_bases(
     start: Block,
     rels: Sequence[dict[Leaves, int]],
@@ -625,20 +631,20 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     """Budgeted search for a same-element representation with fewer terms.
 
     Identities never mix letter multidegrees, so the search space splits
-    into independent blocks by X-count.  Per block, the search seeds with
-    the best block of the global candidates (the input, the basis rewrite,
-    both tail-rule regimes, and a largest-coefficient-first elimination),
-    then runs steepest-descent single-relation moves followed by a seeded
-    random walk that may pass through slightly larger representations.
-    The search holds each block as integer numerators over one denominator
-    and each identity as a primitive integer vector, scores a move by
-    counting the terms it would cancel and builds only the moves it keeps;
-    Fractions appear only in the seeds and in the result.  Each block's
-    search keeps the descent steps it has taken, keyed by the block's
-    values, and drops them when the block is done; a descent that reaches
-    a block stepped from before follows the stored steps, metered as if
-    taken again.  A sampled basis is reached with echelon rows alone, with
-    no back-substitution.
+    into independent blocks by X-count.  Each input block is converted once
+    to integer numerators over one denominator and seeds the search with the
+    best of itself and its rewrites (the basis rewrite, both tail-rule
+    regimes, and a largest-coefficient-first elimination), each the block
+    with that rewrite's pivots cleared.  Steepest-descent single-relation
+    moves follow, then a seeded random walk that may pass through slightly
+    larger representations; the best block is replaced only by one that
+    ranks before it, so no result block is longer than the input's or any
+    seed's, at any budget.  A move is scored by counting the terms it would
+    cancel and built only if kept.  Each block's search keeps the descent
+    steps it has taken, keyed by the block's values, and drops them when the
+    block is done; a descent that reaches a block stepped from before
+    follows the stored steps, metered as if taken again.  A sampled basis is
+    reached with echelon rows alone, with no back-substitution.
     Deterministic for fixed inputs; exact; makes no optimality claim.  A
     negative budget is refused.
     """
@@ -654,40 +660,35 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     if not report.identities:
         return expr
 
-    seeds = [expr, rewrite_in_basis(expr, report)]
-    for rg in (4, 6):
-        seeds.append(apply_rules(expr, lifted_rules(m, rg)))
-    weights = {leaves: abs(c) for leaves, c in expr.terms.items()}
-    greedy = relation_rules(
-        report.identities, priority=lambda lv: (weights.get(lv, ZERO), lv)
-    )
-    seeds.append(apply_rules(expr, greedy))
-
     rel_blocks: dict[int, list[dict[Leaves, int]]] = {}
     for ident in report.identities:
         key = max(ident.terms).count(0)
         rel_blocks.setdefault(key, []).append(_primitive(ident.terms))
 
-    blocks: dict[int, list[dict[Leaves, Fraction]]] = {}
-    for seed in seeds:
-        split: dict[int, dict[Leaves, Fraction]] = {}
-        for leaves, c in seed.terms.items():
-            split.setdefault(leaves.count(0), {})[leaves] = c
-        for key, part in split.items():
-            blocks.setdefault(key, []).append(part)
+    parts: dict[int, dict[Leaves, Fraction]] = {}
+    for leaves, c in expr.terms.items():
+        parts.setdefault(leaves.count(0), {})[leaves] = c
 
     out: dict[Leaves, Fraction] = {}
-    total_rels = sum(len(rel_blocks.get(k, ())) for k in blocks)
-    for key in sorted(blocks):
-        cands = blocks[key]
-        # Seeds represent the same element, so their blocks agree up to
-        # identities and the per-block minimum is a valid choice.
-        best = _to_int(cands[0])
-        for cand in map(_to_int, cands[1:]):
-            if _ranks_before(cand, best):
-                best = cand
+    total_rels = sum(len(rel_blocks.get(k, ())) for k in parts)
+    for key in sorted(parts):
+        best = start = _to_int(parts[key])
         rels = rel_blocks.get(key)
         if rels:
+            # Each seed is the one block equivalent to start and zero on a
+            # rewrite's pivots, so it equals that rewrite's block.
+            nums = start[0]
+            support = {l2 for r in rels for l2 in r}
+            heavy = sorted(support, key=lambda lv: (abs(nums.get(lv, 0)), lv))
+            for pivots in (
+                {max(r): r for r in rels},
+                _rule_rows(lifted_rules(m, 4), key),
+                _rule_rows(lifted_rules(m, 6), key),
+                _echelon([dict(r) for r in rels], reversed(heavy)),
+            ):
+                cand = _cleared(start, pivots)
+                if _ranks_before(cand, best):
+                    best = cand
             share = max(1, budget * len(rels) // max(1, total_rels))
             meter = [0]
             rng = random.Random(m * 1009 + key)
@@ -701,8 +702,6 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
 @lru_cache(maxsize=None)
 def compact_bch_term(m: int) -> LieExpr:
     """The plain grade-m series term after the compaction search."""
-    if m == 1:
-        return bch_term(1, 2)
     return compact_reduce(bch_term(m, 2), m)
 
 
