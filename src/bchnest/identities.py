@@ -24,7 +24,10 @@ deterministic search looks for representations with fewer nonzero terms.
 The search runs on integers: each block of the input is converted once to
 integer numerators over one denominator in lowest terms, each identity is a
 primitive integer vector, and seeds and moves are built by integer
-elimination.  It stays exact, and it is deterministic for fixed inputs.
+elimination.  Each block's search interns the blocks it meets, one node per
+distinct value, which holds the node's descent step and the moves sized from
+it, so no step, move size or sampled basis's descent is computed twice.  It
+stays exact, and it is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -211,11 +214,42 @@ Rules = dict[Leaves, dict[Leaves, Fraction]]
 # lowest terms.
 Block = tuple[dict[Leaves, int], int]
 
-# One block search's descent steps: a block's values, as its (leaves,
-# numerator) pairs and denominator, to the step taken from it.  A stored
-# block is handed to every descent that reaches it, so no search code
-# changes a block in place; moves and samples work on copies.
-Steps = dict[tuple[frozenset[tuple[Leaves, int]], int], Block | None]
+# A move of one relation from a block, as ``_relation_moves`` gives it: the
+# key it clears, the size change and the index of the distinct move.
+Move = tuple[Leaves, int, int]
+
+
+class _Node:
+    """One distinct block value met by a block search, and what is known of it.
+
+    step is the node ``_step`` leads to, None when no move ranks first, and
+    the node itself until it is computed (no step leads back to its own
+    block).  moves maps a relation's index to that relation's moves from
+    here and the moved nodes built so far, one slot per distinct move.  The
+    block is shared by every path that reaches the node, so no search code
+    changes a block in place; moves and samples work on copies.
+    """
+
+    __slots__ = ("block", "step", "moves")
+
+    def __init__(self, block: Block) -> None:
+        self.block = block
+        self.step: _Node | None = self
+        self.moves: dict[int, tuple[list[Move], list[_Node | None]]] = {}
+
+
+# One block search's table of interned blocks: a block's values, as its
+# (leaves, numerator) pairs and denominator, to its node.
+Table = dict[tuple[frozenset[tuple[Leaves, int]], int], _Node]
+
+
+def _node(table: Table, block: Block) -> _Node:
+    # The table's node for block's values, made on first meeting them.
+    key = (frozenset(block[0].items()), block[1])
+    node = table.get(key)
+    if node is None:
+        node = table[key] = _Node(block)
+    return node
 
 
 def _to_int(terms: dict[K, Fraction]) -> tuple[dict[K, int], int]:
@@ -474,18 +508,29 @@ def _ranks_before(a: Block, b: Block) -> bool:
     return False
 
 
-def _moved_len(nums: dict[Leaves, int], rel: dict[Leaves, int], col: Leaves) -> int:
-    # Support size after the move that clears col, counted without building
-    # it: a shared key k cancels iff nums[k] * rel[col] == nums[col] * rel[k].
-    t, r = nums[col], rel[col]
-    n = len(nums)
+def _relation_moves(nums: dict[Leaves, int], rel: dict[Leaves, int]) -> list[Move]:
+    # The moves t -> t - (t_c / r_c) * r of one relation, one per key c of
+    # rel held in nums, in rel's order: (c, size change, move index).  Keys
+    # with equal ratio t_k / r_k give the same move, which cancels exactly
+    # those keys and adds every key of rel that nums lacks, so one pass over
+    # rel sizes them all.  Move indices count distinct moves in order of
+    # first appearance.
+    added = 0
+    shared: list[tuple[Leaves, list[int]]] = []
+    groups: dict[tuple[int, int], list[int]] = {}
     for k, v in rel.items():
-        c = nums.get(k)
-        if c is None:
-            n += 1
-        elif c * r == t * v:
-            n -= 1
-    return n
+        t = nums.get(k)
+        if t is None:
+            added += 1
+            continue
+        g = gcd(t, v) if v > 0 else -gcd(t, v)
+        ratio = t // g, v // g
+        group = groups.get(ratio)
+        if group is None:
+            group = groups[ratio] = [len(groups), 0]
+        group[1] += 1
+        shared.append((k, group))
+    return [(k, added - cancelled, index) for k, (index, cancelled) in shared]
 
 
 def _move(block: Block, rel: dict[Leaves, int], col: Leaves) -> Block:
@@ -494,49 +539,54 @@ def _move(block: Block, rel: dict[Leaves, int], col: Leaves) -> Block:
 
 
 def _step(block: Block, rels: Sequence[dict[Leaves, int]]) -> Block | None:
-    # One steepest-descent step over single-relation moves
-    # t -> t - (t_c / r_c) * r, each of which zeroes one shared term: the
-    # move that ranks first, or None if none ranks before block.  A move is
-    # built only when its counted size can tie or beat the best so far.  A
-    # function of the block's values alone, whatever its key order.
+    # One steepest-descent step: the single-relation move that ranks first,
+    # or None if none ranks before block.  Blocks rank by size first, so
+    # only the distinct moves of the least size are built, each once, and
+    # the first of them in rank is the step whatever order they are met in:
+    # a function of the block's values alone, whatever its key order.
     nums = block[0]
-    best = block
-    best_len = len(nums)
+    least = 0
+    fewest: list[tuple[dict[Leaves, int], Leaves]] = []
     for rel in rels:
-        for leaves in rel:
-            if leaves not in nums:
+        seen = 0
+        for leaves, delta, index in _relation_moves(nums, rel):
+            if index < seen:
                 continue
-            size = _moved_len(nums, rel, leaves)
-            if size > best_len:
-                continue
-            move = _move(block, rel, leaves)
-            if _ranks_before(move, best):
-                best, best_len = move, size
+            seen += 1
+            if delta < least:
+                least, fewest = delta, [(rel, leaves)]
+            elif delta == least:
+                fewest.append((rel, leaves))
+    best = block
+    for rel, leaves in fewest:
+        move = _move(block, rel, leaves)
+        if _ranks_before(move, best):
+            best = move
     return None if best is block else best
 
 
 def _descend(
-    current: Block,
+    node: _Node,
     rels: Sequence[dict[Leaves, int]],
     meter: list[int],
     budget: int,
-    steps: Steps,
-) -> Block:
+    table: Table,
+) -> _Node:
     # Steepest descent: ``_step`` until no move ranks first or the budget
-    # runs out.  Each step is computed once per search and looked up in
-    # steps after that, so a descent from a block already descended from
-    # follows the stored chain.  The meter counts adopted steps, looked up
-    # or not, so a descent cut short stops at the same block either way.
+    # runs out.  Each node's step is computed once per search and followed
+    # after that, so a descent that reaches a node already descended from
+    # follows the stored chain.  The meter counts adopted steps, followed or
+    # computed, so a descent cut short stops at the same block either way.
     while meter[0] < budget:
-        key = (frozenset(current[0].items()), current[1])
-        if key not in steps:
-            steps[key] = _step(current, rels)
-        nxt = steps[key]
+        nxt = node.step
+        if nxt is node:
+            moved = _step(node.block, rels)
+            nxt = node.step = None if moved is None else _node(table, moved)
         if nxt is None:
             break
         meter[0] += 1
-        current = nxt
-    return current
+        node = nxt
+    return node
 
 
 def _cleared(start: Block, pivots: dict[Leaves, dict[Leaves, int]]) -> Block:
@@ -564,60 +614,89 @@ def _rule_rows(rules: Rules, key: int) -> dict[Leaves, dict[Leaves, int]]:
 
 
 def _sample_bases(
-    start: Block,
+    start: _Node,
     rels: Sequence[dict[Leaves, int]],
     meter: list[int],
     budget: int,
     rng: random.Random,
-    steps: Steps,
-) -> Block:
+    table: Table,
+) -> _Node:
     # Rewrite onto bases drawn at random: a shuffle picks which commutators
     # get eliminated, its last first, and each resulting representation is
     # polished by descent.  Samples representations far apart in move
-    # distance, which the local walk cannot reach.
+    # distance, which the local walk cannot reach.  The cleared block
+    # depends only on the pivot columns, so each pivot set met is cleared
+    # once and mapped to its cleared node and the length of its descent
+    # chain, when that descent ended before the budget ran out.  A repeated
+    # pivot set whose chain fits in the budget left only advances the
+    # meter: its candidate was compared with a best that has only improved
+    # since.  One that does not fit descends again, and is cut short.
     best = start
     support = sorted({l2 for r in rels for l2 in r})
+    chains: dict[frozenset[Leaves], tuple[_Node, int]] = {}
     while meter[0] < budget:
         meter[0] += 1
         perm = list(support)
         rng.shuffle(perm)
         pivots = _echelon([dict(r) for r in rels], reversed(perm))
-        cand = _descend(_cleared(start, pivots), rels, meter, budget, steps)
-        if _ranks_before(cand, best):
+        cols = frozenset(pivots)
+        chain = chains.get(cols)
+        if chain is None:
+            node = _node(table, _cleared(start.block, pivots))
+        elif meter[0] + chain[1] <= budget:
+            meter[0] += chain[1]
+            continue
+        else:
+            node = chain[0]
+        before = meter[0]
+        cand = _descend(node, rels, meter, budget, table)
+        if meter[0] < budget:
+            chains[cols] = node, meter[0] - before
+        if _ranks_before(cand.block, best.block):
             best = cand
     return best
 
 
 def _anneal(
-    start: Block,
+    start: _Node,
     rels: Sequence[dict[Leaves, int]],
     meter: list[int],
     budget: int,
     rng: random.Random,
-    steps: Steps,
-) -> Block:
+    table: Table,
+) -> _Node:
     # Random walk that tolerates slightly larger intermediates, polishing
     # with descent whenever it ties the best and restarting from the best
-    # whenever it drifts too long without improving on it.  A move's size
-    # change is counted; the move is built only when the walk takes it.
-    best = _descend(start, rels, meter, budget, steps)
+    # whenever it drifts too long without improving on it.  A node's moves
+    # are sized once per relation drawn there; a move is built only when
+    # the walk first takes it.
+    best = _descend(start, rels, meter, budget, table)
     current = best
     drift = 0
     while meter[0] < budget:
         meter[0] += 1
-        rel = rels[rng.randrange(len(rels))]
-        nums = current[0]
-        shared = [l2 for l2 in rel if l2 in nums]
-        if shared:
-            leaves = shared[rng.randrange(len(shared))]
-            delta = _moved_len(nums, rel, leaves) - len(nums)
+        i = rng.randrange(len(rels))
+        entry = current.moves.get(i)
+        if entry is None:
+            moves = _relation_moves(current.block[0], rels[i])
+            entry = current.moves[i] = moves, [None] * len(moves)
+        moves, built = entry
+        if moves:
+            leaves, delta, index = moves[rng.randrange(len(moves))]
             if delta <= 0 or (delta == 1 and rng.random() < 0.35) or (
                 delta == 2 and rng.random() < 0.05
             ):
-                current = _move(current, rel, leaves)
-                if len(current[0]) <= len(best[0]):
-                    settled = _descend(current, rels, meter, budget, steps)
-                    if _ranks_before(settled, best):
+                nxt = built[index]
+                if nxt is None:
+                    nxt = built[index] = _node(
+                        table, _move(current.block, rels[i], leaves)
+                    )
+                current = nxt
+                if len(current.block[0]) <= len(best.block[0]):
+                    settled = _descend(current, rels, meter, budget, table)
+                    if settled is not best and _ranks_before(
+                        settled.block, best.block
+                    ):
                         best = current = settled
                         drift = 0
         drift += 1
@@ -639,12 +718,16 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     moves follow, then a seeded random walk that may pass through slightly
     larger representations; the best block is replaced only by one that
     ranks before it, so no result block is longer than the input's or any
-    seed's, at any budget.  A move is scored by counting the terms it would
-    cancel and built only if kept.  Each block's search keeps the descent
-    steps it has taken, keyed by the block's values, and drops them when the
-    block is done; a descent that reaches a block stepped from before
-    follows the stored steps, metered as if taken again.  A sampled basis is
-    reached with echelon rows alone, with no back-substitution.
+    seed's, at any budget, and a block whose best seed is empty is not
+    searched.  All moves of one relation are sized in one pass, by the
+    terms they would cancel, and a move is built only if it can be kept.
+    Each block's search keeps a table of the blocks it meets, one node per
+    distinct value with its descent step and the moves sized from it, and
+    drops the table when the block is done: a descent that reaches a node
+    stepped from before follows the stored steps, metered as if taken again.
+    A sampled basis is reached with echelon rows alone, with no
+    back-substitution, and each pivot set met is cleared and descended from
+    once; a repeated one advances the meter by its chain's length.
     Deterministic for fixed inputs; exact; makes no optimality claim.  A
     negative budget is refused.
     """
@@ -689,12 +772,23 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
                 cand = _cleared(start, pivots)
                 if _ranks_before(cand, best):
                     best = cand
+        if rels and best[0]:
+            # Nothing ranks before an empty block, so an empty best seed
+            # is not searched; each block has its own meter and generator.
             share = max(1, budget * len(rels) // max(1, total_rels))
             meter = [0]
             rng = random.Random(m * 1009 + key)
-            steps: Steps = {}
-            best = _sample_bases(best, rels, meter, share * 3 // 5, rng, steps)
-            best = _anneal(best, rels, meter, share, rng, steps)
+            table: Table = {}
+            node = _sample_bases(
+                _node(table, best), rels, meter, share * 3 // 5, rng, table
+            )
+            best = _anneal(node, rels, meter, share, rng, table).block
+            # Steps and moves link nodes in cycles (a move and its reverse),
+            # so unlink them to free the table now, not at the next full
+            # collection.
+            for node in table.values():
+                node.step = None
+                node.moves.clear()
         out.update((k, Fraction(v, best[1])) for k, v in best[0].items())
     return LieExpr._from_clean(out)
 

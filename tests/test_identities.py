@@ -14,6 +14,7 @@ from bchnest.identities import (
     ExactMatrix,
     apply_regime,
     apply_rules,
+    compact_bch_term,
     compact_reduce,
     enumerate_nested,
     full_reduce,
@@ -26,7 +27,7 @@ from bchnest.identities import (
     series_term,
     table_counts,
 )
-from bchnest.series import bch_term
+from bchnest.series import bch_term, symmetric_bch_term
 from bchnest.terms import LieExpr, expand_lie, expand_nested
 
 F = Fraction
@@ -434,19 +435,11 @@ def test_compact_reduce_library_pin():
     assert digest == LIBRARY_PIN
 
 
-# sha256 of the compactions of eight seeded grade 6-7 expressions and of
-# bch_term(6) and bch_term(7) at budgets that cut the search off within its
-# first few sampled bases and descent steps, each line followed by the next
-# draw of every block's generator; frozen from the search that re-ran every
-# descent step.
-SMALL_BUDGET_PIN = "97e4311e8d80032783434cb5135fac6d1e7291552678805742cfe5aca8da912b"
-
-
-def test_compact_reduce_small_budget_pin(monkeypatch):
-    # Each block's search draws from its own generator for as long as its
-    # meter allows, so the generators' next draws record where every search
-    # stopped, also where the result does not show it.
-    exprs = _seeded_exprs(6007, 8, (6, 7)) + [(m, bch_term(m, 2)) for m in (6, 7)]
+def _budget_pin_lines(monkeypatch, exprs, budgets) -> list[str]:
+    # One line per budget and expression: the compaction, then the next
+    # draw of every block's generator.  Each block's search draws from its
+    # own generator for as long as its meter allows, so the draws record
+    # where every search stopped, also where the result does not show it.
     rngs: list[random.Random] = []
 
     class Recorded(random.Random):
@@ -456,15 +449,59 @@ def test_compact_reduce_small_budget_pin(monkeypatch):
 
     monkeypatch.setattr(identities.random, "Random", Recorded)
     lines = []
-    for budget in (0, 1, 2, 5, 17, 60):
+    for budget in budgets:
         for m, expr in exprs:
             rngs.clear()
             out = compact_reduce(expr, m, budget)
             assert expand_lie(out) == expand_lie(expr)
             draws = " ".join(str(r.getrandbits(32)) for r in rngs)
             lines.append(f"{budget} {_compaction_line(out)} | {draws}")
+    return lines
+
+
+# sha256 of the compactions of eight seeded grade 6-7 expressions and of
+# bch_term(6) and bch_term(7) at budgets that cut the search off within its
+# first few sampled bases and descent steps, each line followed by the next
+# draw of every block's generator; frozen from the search that re-ran every
+# descent step.
+SMALL_BUDGET_PIN = "97e4311e8d80032783434cb5135fac6d1e7291552678805742cfe5aca8da912b"
+
+
+def test_compact_reduce_small_budget_pin(monkeypatch):
+    exprs = _seeded_exprs(6007, 8, (6, 7)) + [(m, bch_term(m, 2)) for m in (6, 7)]
+    lines = _budget_pin_lines(monkeypatch, exprs, (0, 1, 2, 5, 17, 60))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SMALL_BUDGET_PIN
+
+
+# sha256 of the compactions of nine seeded grade 4-6 expressions and of
+# bch_term(4..6) at budgets where sampled bases repeat a pivot set many
+# times and the budget cuts a descent short, each line followed by the next
+# draw of every block's generator; frozen from the search that cleared and
+# descended again for every sample.
+REPEATED_BASES_PIN = "839782d9d34810287bbd5c57c4ced6341fe14e62fa7eb6417dd3c65ff782bde0"
+
+
+def test_compact_reduce_repeated_bases_pin(monkeypatch):
+    exprs = _seeded_exprs(4005, 9, (4, 5, 6))
+    exprs += [(m, bch_term(m, 2)) for m in (4, 5, 6)]
+    lines = _budget_pin_lines(monkeypatch, exprs, (100, 250, 400))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == REPEATED_BASES_PIN
+
+
+def _identity_sums(m: int, rng: random.Random):
+    # Per block of grade m with at least four identities: its key and a
+    # sum of four of them with random positive coefficients, which is zero.
+    by_key = {}
+    for ident in identities_and_basis(m).identities:
+        by_key.setdefault(max(ident.terms).count(0), []).append(ident)
+    for key in sorted(by_key):
+        if len(by_key[key]) >= 4:
+            z = LieExpr()
+            for ident in rng.sample(by_key[key], 4):
+                z = z + ident * F(rng.randint(1, 5), rng.randint(1, 3))
+            yield key, z
 
 
 def test_compact_reduce_keeps_a_seed_that_cancels():
@@ -472,18 +509,30 @@ def test_compact_reduce_keeps_a_seed_that_cancels():
     # that empty seed must win its block even when the search has no budget.
     rng = random.Random(1)
     for m in (7, 8):
-        report = identities_and_basis(m)
-        by_key = {}
-        for ident in report.identities:
-            by_key.setdefault(max(ident.terms).count(0), []).append(ident)
-        for key in sorted(by_key):
-            if len(by_key[key]) < 4:
-                continue
-            z = LieExpr()
-            for ident in rng.sample(by_key[key], 4):
-                z = z + ident * F(rng.randint(1, 5), rng.randint(1, 3))
-            assert not rewrite_in_basis(z, report)
+        for key, z in _identity_sums(m, rng):
+            assert not rewrite_in_basis(z, identities_and_basis(m))
             assert not compact_reduce(z, m, 0), (m, key)
+
+
+def test_compact_search_skips_an_empty_seed(monkeypatch):
+    # Nothing ranks before an empty block, so a block whose best seed is
+    # empty is not searched.  Before it was skipped, one such grade-8 sum
+    # took 6 001 _echelon calls at the default budget, and the grade-6
+    # symmetric term, 3 terms that cancel, a 0.07 s search.
+    sym = symmetric_bch_term(6, phi=compact_bch_term)
+    sums = [z for _, z in _identity_sums(8, random.Random(1))]
+    assert len(sym) == 3 and sums
+    entered = []
+    real = identities._sample_bases
+
+    def recorded(*args):
+        entered.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(identities, "_sample_bases", recorded)
+    for m, z in [(6, sym)] + [(8, z) for z in sums]:
+        assert not compact_reduce(z, m)
+    assert not entered
 
 
 def test_compact_search_constructs_few_fractions():
@@ -506,13 +555,14 @@ def test_compact_search_constructs_few_fractions():
     assert made <= 150
 
 
-def _warm_grade8_compaction(monkeypatch, name, wrap):
-    # A warm compact_reduce(bch_term(8, 2), 8) with identities.<name>
-    # replaced by wrap(the real function).
-    e = bch_term(8, 2)
-    warm = compact_reduce(e, 8)
-    monkeypatch.setattr(identities, name, wrap(getattr(identities, name)))
-    assert compact_reduce(e, 8) == warm
+def _warm_compaction(monkeypatch, m, **wraps):
+    # A warm compact_reduce(bch_term(m, 2), m) with each identities.<name>
+    # replaced by wraps[name](the real function).
+    e = bch_term(m, 2)
+    warm = compact_reduce(e, m)
+    for name, wrap in wraps.items():
+        monkeypatch.setattr(identities, name, wrap(getattr(identities, name)))
+    assert compact_reduce(e, m) == warm
 
 
 def test_compact_search_steps_from_each_block_once(monkeypatch):
@@ -527,14 +577,16 @@ def test_compact_search_steps_from_each_block_once(monkeypatch):
             return real(block, rels)
         return recorded
 
-    _warm_grade8_compaction(monkeypatch, "_step", wrap)
+    _warm_compaction(monkeypatch, 8, _step=wrap)
     assert keys
     assert len(set(keys)) == len(keys)
 
 
 def test_compact_search_probes_few_moves(monkeypatch):
-    # 78 692 moves probed when every descent re-ran its steps, 12 778 now;
-    # the count repeats exactly from run to run.
+    # Moves built, by descent steps and by the walk: 4 313 when a step built
+    # every move that could tie its best so far, 3 168 now that it builds
+    # only the distinct moves of the least size; the count repeats exactly
+    # from run to run.
     calls = [0]
 
     def wrap(real):
@@ -543,8 +595,39 @@ def test_compact_search_probes_few_moves(monkeypatch):
             return real(*args)
         return counted
 
-    _warm_grade8_compaction(monkeypatch, "_moved_len", wrap)
-    assert 0 < calls[0] <= 20_000
+    _warm_compaction(monkeypatch, 8, _move=wrap)
+    assert 0 < calls[0] <= 3_500
+
+
+def test_compact_search_clears_each_pivot_set_once(monkeypatch):
+    # A sampled basis's cleared block depends only on its pivot columns, so
+    # each block's search clears a pivot set once; before the pivot sets
+    # were kept, 2 122 sampled bases here cleared 130 distinct ones.
+    searches: list[list[frozenset]] = []
+    current: list[list[frozenset] | None] = [None]
+
+    def wrap_search(real):
+        def scoped(*args):
+            current[0] = []
+            searches.append(current[0])
+            try:
+                return real(*args)
+            finally:
+                current[0] = None
+        return scoped
+
+    def wrap_cleared(real):
+        def recorded(start, pivots):
+            if current[0] is not None:
+                current[0].append(frozenset(pivots))
+            return real(start, pivots)
+        return recorded
+
+    _warm_compaction(
+        monkeypatch, 7, _sample_bases=wrap_search, _cleared=wrap_cleared
+    )
+    assert sum(map(len, searches)) > len(searches)
+    assert all(len(set(cleared)) == len(cleared) for cleared in searches)
 
 
 def test_sampled_basis_needs_no_back_substitution():
