@@ -24,10 +24,14 @@ deterministic search looks for representations with fewer nonzero terms.
 The search runs on integers: each block of the input is converted once to
 integer numerators over one denominator in lowest terms, each identity is a
 primitive integer vector, and seeds and moves are built by integer
-elimination.  Each block's search interns the blocks it meets, one node per
-distinct value, which holds the node's descent step and the moves sized from
-it, so no step, move size or sampled basis's descent is computed twice.  It
-stays exact, and it is deterministic for fixed inputs.
+elimination.  Its keys are small ints, each commutator's index in its
+block's lex order, from one cached table per grade; results map back to
+leaf tuples once per block, and terms no identity touches, such as
+three-generator ones, pass through unchanged.  Each block's search interns
+the blocks it meets, one node per distinct value keyed by its sorted values,
+which holds the node's descent step and the moves sized from it, so no
+step, move size or sampled basis's descent is computed twice.  It stays
+exact, and it is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from bchnest.series import bch_term, symmetric_bch_term
 from bchnest.terms import (
@@ -211,44 +215,74 @@ K = TypeVar("K")
 Rules = dict[Leaves, dict[Leaves, Fraction]]
 
 # A search block: integer numerators over one positive denominator, in
-# lowest terms.
-Block = tuple[dict[Leaves, int], int]
+# lowest terms, keyed by each commutator's index in its X-count block's lex
+# order, so indices sort as the commutators do.
+Block = tuple[dict[int, int], int]
+
+# A block's values as its (index, numerator) pairs in index order, flattened
+# to one tuple, and its denominator: its node's key in a block search's
+# table, and what ranking compares.
+Key = tuple[tuple[int, ...], int]
+
+# A relation of a block search: a primitive identity on commutator indices,
+# the bitmask of its support and its least index.
+Relation = tuple[dict[int, int], int, int]
 
 # A move of one relation from a block, as ``_relation_moves`` gives it: the
-# key it clears, the size change and the index of the distinct move.
-Move = tuple[Leaves, int, int]
+# index it clears, the size change and the index of the distinct move.
+Move = tuple[int, int, int]
+
+
+class _SearchBlock(NamedTuple):
+    """One X-count block of a grade as its searches see it.
+
+    Its commutators in lex order and each one's index there, its identities
+    as relations in the report's order, and the grade-4 and grade-6 tail
+    rules as integer rows c - rhs by index.
+    """
+
+    comms: tuple[Leaves, ...]
+    index: dict[Leaves, int]
+    rels: tuple[Relation, ...]
+    rules: tuple[dict[int, dict[int, int]], ...]
 
 
 class _Node:
     """One distinct block value met by a block search, and what is known of it.
 
-    step is the node ``_step`` leads to, None when no move ranks first, and
-    the node itself until it is computed (no step leads back to its own
-    block).  moves maps a relation's index to that relation's moves from
-    here and the moved nodes built so far, one slot per distinct move.  The
-    block is shared by every path that reaches the node, so no search code
-    changes a block in place; moves and samples work on copies.
+    key is the block's sorted values, the node's key in its table.  step is
+    the node ``_step`` leads to, None when no move ranks first, and the node
+    itself until it is computed (no step leads back to its own block).
+    moves maps a relation's index to that relation's moves from here and the
+    moved nodes built so far, one slot per distinct move.  The block is
+    shared by every path that reaches the node, so no search code changes a
+    block in place; moves and samples work on copies.
     """
 
-    __slots__ = ("block", "step", "moves")
+    __slots__ = ("block", "key", "step", "moves")
 
-    def __init__(self, block: Block) -> None:
+    def __init__(self, block: Block, key: Key) -> None:
         self.block = block
+        self.key = key
         self.step: _Node | None = self
         self.moves: dict[int, tuple[list[Move], list[_Node | None]]] = {}
 
 
-# One block search's table of interned blocks: a block's values, as its
-# (leaves, numerator) pairs and denominator, to its node.
-Table = dict[tuple[frozenset[tuple[Leaves, int]], int], _Node]
+# One block search's table of interned blocks, by key.
+Table = dict[Key, _Node]
 
 
-def _node(table: Table, block: Block) -> _Node:
+def _key(block: Block) -> Key:
+    return tuple(chain.from_iterable(sorted(block[0].items()))), block[1]
+
+
+def _node(table: Table, block: Block, key: Key | None = None) -> _Node:
     # The table's node for block's values, made on first meeting them.
-    key = (frozenset(block[0].items()), block[1])
+    if key is None:
+        key = _key(block)
     node = table.get(key)
     if node is None:
-        node = table[key] = _Node(block)
+        node = table[key] = _Node(block, key)
     return node
 
 
@@ -494,21 +528,24 @@ def lifted_identities(m: int) -> tuple[LieExpr, ...]:
     )
 
 
-def _ranks_before(a: Block, b: Block) -> bool:
+def _ranks_before(a: Key, b: Key) -> bool:
     # Deterministic order on blocks: fewer terms first, ties broken by the
-    # sorted (leaves, value) list, values compared by cross-multiplying.
+    # sorted (index, value) list, values compared by cross-multiplying.
     (an, ad), (bn, bd) = a, b
     if len(an) != len(bn):
         return len(an) < len(bn)
-    for (ka, va), (kb, vb) in zip(sorted(an.items()), sorted(bn.items())):
-        if ka != kb:
-            return ka < kb
-        if va * bd != vb * ad:
-            return va * bd < vb * ad
+    if ad == bd:
+        return an < bn
+    for i in range(0, len(an), 2):
+        if an[i] != bn[i]:
+            return an[i] < bn[i]
+        va, vb = an[i + 1] * bd, bn[i + 1] * ad
+        if va != vb:
+            return va < vb
     return False
 
 
-def _relation_moves(nums: dict[Leaves, int], rel: dict[Leaves, int]) -> list[Move]:
+def _relation_moves(nums: dict[int, int], rel: dict[int, int]) -> list[Move]:
     # The moves t -> t - (t_c / r_c) * r of one relation, one per key c of
     # rel held in nums, in rel's order: (c, size change, move index).  Keys
     # with equal ratio t_k / r_k give the same move, which cancels exactly
@@ -516,7 +553,7 @@ def _relation_moves(nums: dict[Leaves, int], rel: dict[Leaves, int]) -> list[Mov
     # rel sizes them all.  Move indices count distinct moves in order of
     # first appearance.
     added = 0
-    shared: list[tuple[Leaves, list[int]]] = []
+    shared: list[tuple[int, list[int]]] = []
     groups: dict[tuple[int, int], list[int]] = {}
     for k, v in rel.items():
         t = nums.get(k)
@@ -533,41 +570,60 @@ def _relation_moves(nums: dict[Leaves, int], rel: dict[Leaves, int]) -> list[Mov
     return [(k, added - cancelled, index) for k, (index, cancelled) in shared]
 
 
-def _move(block: Block, rel: dict[Leaves, int], col: Leaves) -> Block:
+def _move(block: Block, rel: dict[int, int], col: int) -> Block:
     nums = dict(block[0])
     return nums, _eliminate(nums, rel, col, block[1])
 
 
-def _step(block: Block, rels: Sequence[dict[Leaves, int]]) -> Block | None:
-    # One steepest-descent step: the single-relation move that ranks first,
-    # or None if none ranks before block.  Blocks rank by size first, so
-    # only the distinct moves of the least size are built, each once, and
-    # the first of them in rank is the step whatever order they are met in:
-    # a function of the block's values alone, whatever its key order.
-    nums = block[0]
+def _step(node: _Node, rels: Sequence[Relation], table: Table) -> _Node | None:
+    # One steepest-descent step: the node of the single-relation move that
+    # ranks first, or None if none ranks before node's block.  Blocks rank
+    # by size first, so only the distinct moves of the least size count; a
+    # relation is skipped when cancelling every key it shares with the
+    # block still grows it past that size.  Only the candidates left are
+    # built, and the first in rank is the step whatever order they are met
+    # in: a function of the block's values alone, whatever its key order.
+    nums = node.block[0]
+    mask = sum(1 << k for k in nums)
     least = 0
-    fewest: list[tuple[dict[Leaves, int], Leaves]] = []
-    for rel in rels:
+    fewest: list[tuple[dict[int, int], int, int]] = []
+    for rel, support, low in rels:
+        if len(rel) - 2 * (mask & support).bit_count() > least:
+            continue
         seen = 0
-        for leaves, delta, index in _relation_moves(nums, rel):
+        for col, delta, index in _relation_moves(nums, rel):
             if index < seen:
                 continue
             seen += 1
             if delta < least:
-                least, fewest = delta, [(rel, leaves)]
+                least, fewest = delta, [(rel, col, low)]
             elif delta == least:
-                fewest.append((rel, leaves))
-    best = block
-    for rel, leaves in fewest:
-        move = _move(block, rel, leaves)
-        if _ranks_before(move, best):
-            best = move
-    return None if best is block else best
+                fewest.append((rel, col, low))
+    if not least:
+        # No move shortens the block.  A move changes exactly its
+        # relation's keys, so it ranks before the block iff at the least of
+        # them, low, it adds a term or leaves t - x / r with 0 < x / r != t,
+        # where t = nums[low], x = nums[col] * rel[low] and r = rel[col].
+        # Such a move also ranks before every such move of a larger low.
+        lowers = []
+        for rel, col, low in fewest:
+            t, x, r = nums.get(low), nums[col] * rel[low], rel[col]
+            if t is None or (x * r > 0 and x != t * r):
+                lowers.append((rel, col, low))
+        lowest = min((low for _, _, low in lowers), default=None)
+        fewest = [move for move in lowers if move[2] == lowest]
+    best: tuple[Block, Key] | None = None
+    for rel, col, _ in fewest:
+        move = _move(node.block, rel, col)
+        key = _key(move)
+        if best is None or _ranks_before(key, best[1]):
+            best = move, key
+    return None if best is None else _node(table, *best)
 
 
 def _descend(
     node: _Node,
-    rels: Sequence[dict[Leaves, int]],
+    rels: Sequence[Relation],
     meter: list[int],
     budget: int,
     table: Table,
@@ -580,8 +636,7 @@ def _descend(
     while meter[0] < budget:
         nxt = node.step
         if nxt is node:
-            moved = _step(node.block, rels)
-            nxt = node.step = None if moved is None else _node(table, moved)
+            nxt = node.step = _step(node, rels, table)
         if nxt is None:
             break
         meter[0] += 1
@@ -589,7 +644,7 @@ def _descend(
     return node
 
 
-def _cleared(start: Block, pivots: dict[Leaves, dict[Leaves, int]]) -> Block:
+def _cleared(start: Block, pivots: dict[int, dict[int, int]]) -> Block:
     # start with every pivot column cleared, pivot rows applied in order.
     # Echelon rows in the order taken hold no earlier pivot's column, so a
     # cleared column stays clear: the result is zero on every pivot column,
@@ -601,21 +656,41 @@ def _cleared(start: Block, pivots: dict[Leaves, dict[Leaves, int]]) -> Block:
     return nums, den
 
 
-def _rule_rows(rules: Rules, key: int) -> dict[Leaves, dict[Leaves, int]]:
-    # The rules on commutators with key X's as integer rows c - rhs, by c.
+def _rule_rows(rules: Rules, index: dict[Leaves, int]) -> dict[int, dict[int, int]]:
+    # The rules on the indexed commutators as integer rows c - rhs, by c.
     # No right-hand side holds a ruled commutator, so clearing a block with
     # these rows applies the rules.
-    rows: dict[Leaves, dict[Leaves, int]] = {}
+    rows: dict[int, dict[int, int]] = {}
     for c, rhs in rules.items():
-        if c.count(0) == key:
+        if c in index:
             nums, den = _to_int(rhs)
-            rows[c] = {c: den, **{l2: -v for l2, v in nums.items()}}
+            i = index[c]
+            rows[i] = {i: den, **{index[l2]: -v for l2, v in nums.items()}}
     return rows
+
+
+@lru_cache(maxsize=None)
+def _search_blocks(m: int) -> dict[int, _SearchBlock]:
+    # The X-count blocks of grade m that hold an identity, by X-count.
+    comms: dict[int, list[Leaves]] = {}
+    for c in enumerate_nested(m):
+        comms.setdefault(c.count(0), []).append(c)
+    prims: dict[int, list[dict[Leaves, int]]] = {}
+    for ident in identities_and_basis(m).identities:
+        prims.setdefault(max(ident.terms).count(0), []).append(_primitive(ident.terms))
+    blocks = {}
+    for key, block_prims in prims.items():
+        index = {c: i for i, c in enumerate(comms[key])}
+        rows = [{index[c]: v for c, v in p.items()} for p in block_prims]
+        rels = tuple((r, sum(1 << i for i in r), min(r)) for r in rows)
+        rules = tuple(_rule_rows(lifted_rules(m, g), index) for g in (4, 6))
+        blocks[key] = _SearchBlock(tuple(comms[key]), index, rels, rules)
+    return blocks
 
 
 def _sample_bases(
     start: _Node,
-    rels: Sequence[dict[Leaves, int]],
+    rels: Sequence[Relation],
     meter: list[int],
     budget: int,
     rng: random.Random,
@@ -632,13 +707,13 @@ def _sample_bases(
     # meter: its candidate was compared with a best that has only improved
     # since.  One that does not fit descends again, and is cut short.
     best = start
-    support = sorted({l2 for r in rels for l2 in r})
-    chains: dict[frozenset[Leaves], tuple[_Node, int]] = {}
+    support = sorted({i for r, _, _ in rels for i in r})
+    chains: dict[frozenset[int], tuple[_Node, int]] = {}
     while meter[0] < budget:
         meter[0] += 1
         perm = list(support)
         rng.shuffle(perm)
-        pivots = _echelon([dict(r) for r in rels], reversed(perm))
+        pivots = _echelon([dict(r) for r, _, _ in rels], reversed(perm))
         cols = frozenset(pivots)
         chain = chains.get(cols)
         if chain is None:
@@ -652,14 +727,14 @@ def _sample_bases(
         cand = _descend(node, rels, meter, budget, table)
         if meter[0] < budget:
             chains[cols] = node, meter[0] - before
-        if _ranks_before(cand.block, best.block):
+        if _ranks_before(cand.key, best.key):
             best = cand
     return best
 
 
 def _anneal(
     start: _Node,
-    rels: Sequence[dict[Leaves, int]],
+    rels: Sequence[Relation],
     meter: list[int],
     budget: int,
     rng: random.Random,
@@ -678,25 +753,23 @@ def _anneal(
         i = rng.randrange(len(rels))
         entry = current.moves.get(i)
         if entry is None:
-            moves = _relation_moves(current.block[0], rels[i])
+            moves = _relation_moves(current.block[0], rels[i][0])
             entry = current.moves[i] = moves, [None] * len(moves)
         moves, built = entry
         if moves:
-            leaves, delta, index = moves[rng.randrange(len(moves))]
+            col, delta, index = moves[rng.randrange(len(moves))]
             if delta <= 0 or (delta == 1 and rng.random() < 0.35) or (
                 delta == 2 and rng.random() < 0.05
             ):
                 nxt = built[index]
                 if nxt is None:
                     nxt = built[index] = _node(
-                        table, _move(current.block, rels[i], leaves)
+                        table, _move(current.block, rels[i][0], col)
                     )
                 current = nxt
                 if len(current.block[0]) <= len(best.block[0]):
                     settled = _descend(current, rels, meter, budget, table)
-                    if settled is not best and _ranks_before(
-                        settled.block, best.block
-                    ):
+                    if settled is not best and _ranks_before(settled.key, best.key):
                         best = current = settled
                         drift = 0
         drift += 1
@@ -711,23 +784,25 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
 
     Identities never mix letter multidegrees, so the search space splits
     into independent blocks by X-count.  Each input block is converted once
-    to integer numerators over one denominator and seeds the search with the
-    best of itself and its rewrites (the basis rewrite, both tail-rule
-    regimes, and a largest-coefficient-first elimination), each the block
-    with that rewrite's pivots cleared.  Steepest-descent single-relation
-    moves follow, then a seeded random walk that may pass through slightly
-    larger representations; the best block is replaced only by one that
-    ranks before it, so no result block is longer than the input's or any
-    seed's, at any budget, and a block whose best seed is empty is not
-    searched.  All moves of one relation are sized in one pass, by the
-    terms they would cancel, and a move is built only if it can be kept.
-    Each block's search keeps a table of the blocks it meets, one node per
-    distinct value with its descent step and the moves sized from it, and
-    drops the table when the block is done: a descent that reaches a node
-    stepped from before follows the stored steps, metered as if taken again.
-    A sampled basis is reached with echelon rows alone, with no
-    back-substitution, and each pivot set met is cleared and descended from
-    once; a repeated one advances the meter by its chain's length.
+    to integer numerators over one denominator, keyed by commutator index,
+    and seeds the search with the best of itself and its rewrites (the basis
+    rewrite, both tail-rule regimes, and a largest-coefficient-first
+    elimination), each the block with that rewrite's pivots cleared.
+    Steepest-descent single-relation moves follow, then a seeded random walk
+    that may pass through slightly larger representations; the best block is
+    replaced only by one that ranks before it, so no result block is longer
+    than the input's or any seed's, at any budget, and a block whose best
+    seed is empty is not searched; terms no identity touches are kept as
+    they are.  All moves of one relation are sized in one pass, by the terms
+    they would cancel; a descent step skips a relation sharing too few terms
+    with its block, and builds only moves that can rank first.  Each block's
+    search keeps a table of the blocks it meets, one node per distinct value
+    with its descent step and the moves sized from it, and drops the table
+    when the block is done: a descent that reaches a node stepped from
+    before follows the stored steps, metered as if taken again.  A sampled
+    basis is reached with echelon rows alone, with no back-substitution, and
+    each pivot set met is cleared and descended from once; a repeated one
+    advances the meter by its chain's length.
     Deterministic for fixed inputs; exact; makes no optimality claim.  A
     negative budget is refused.
     """
@@ -743,53 +818,56 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     if not report.identities:
         return expr
 
-    rel_blocks: dict[int, list[dict[Leaves, int]]] = {}
-    for ident in report.identities:
-        key = max(ident.terms).count(0)
-        rel_blocks.setdefault(key, []).append(_primitive(ident.terms))
-
+    blocks = _search_blocks(m)
     parts: dict[int, dict[Leaves, Fraction]] = {}
     for leaves, c in expr.terms.items():
         parts.setdefault(leaves.count(0), {})[leaves] = c
 
     out: dict[Leaves, Fraction] = {}
-    total_rels = sum(len(rel_blocks.get(k, ())) for k in parts)
+    total_rels = sum(len(blocks[k].rels) for k in parts if k in blocks)
     for key in sorted(parts):
-        best = start = _to_int(parts[key])
-        rels = rel_blocks.get(key)
-        if rels:
-            # Each seed is the one block equivalent to start and zero on a
-            # rewrite's pivots, so it equals that rewrite's block.
-            nums = start[0]
-            support = {l2 for r in rels for l2 in r}
-            heavy = sorted(support, key=lambda lv: (abs(nums.get(lv, 0)), lv))
-            for pivots in (
-                {max(r): r for r in rels},
-                _rule_rows(lifted_rules(m, 4), key),
-                _rule_rows(lifted_rules(m, 6), key),
-                _echelon([dict(r) for r in rels], reversed(heavy)),
-            ):
-                cand = _cleared(start, pivots)
-                if _ranks_before(cand, best):
-                    best = cand
-        if rels and best[0]:
+        if key not in blocks:
+            out.update(parts[key])
+            continue
+        comms, index, rels, rules = blocks[key]
+        terms: dict[int, Fraction] = {}
+        for leaves, c in parts[key].items():
+            if leaves in index:
+                terms[index[leaves]] = c
+            else:
+                out[leaves] = c  # no identity touches it
+        start = _to_int(terms)
+        # Each seed is the one block equivalent to start and zero on a
+        # rewrite's pivots, so it equals that rewrite's block.
+        table: Table = {}
+        best = _node(table, start)
+        nums = start[0]
+        support = {i for r, _, _ in rels for i in r}
+        heavy = sorted(support, key=lambda i: (abs(nums.get(i, 0)), i))
+        for pivots in (
+            {max(r): r for r, _, _ in rels},
+            *rules,
+            _echelon([dict(r) for r, _, _ in rels], reversed(heavy)),
+        ):
+            cand = _node(table, _cleared(start, pivots))
+            if _ranks_before(cand.key, best.key):
+                best = cand
+        if best.block[0]:
             # Nothing ranks before an empty block, so an empty best seed
             # is not searched; each block has its own meter and generator.
             share = max(1, budget * len(rels) // max(1, total_rels))
             meter = [0]
             rng = random.Random(m * 1009 + key)
-            table: Table = {}
-            node = _sample_bases(
-                _node(table, best), rels, meter, share * 3 // 5, rng, table
-            )
-            best = _anneal(node, rels, meter, share, rng, table).block
+            best = _sample_bases(best, rels, meter, share * 3 // 5, rng, table)
+            best = _anneal(best, rels, meter, share, rng, table)
             # Steps and moves link nodes in cycles (a move and its reverse),
             # so unlink them to free the table now, not at the next full
             # collection.
             for node in table.values():
                 node.step = None
                 node.moves.clear()
-        out.update((k, Fraction(v, best[1])) for k, v in best[0].items())
+        nums, den = best.block
+        out.update((comms[i], Fraction(v, den)) for i, v in nums.items())
     return LieExpr._from_clean(out)
 
 

@@ -1,5 +1,6 @@
 """Identity discovery, rewriting, and the reduction regimes."""
 
+import copy
 import cProfile
 import hashlib
 import pstats
@@ -490,6 +491,27 @@ def test_compact_reduce_repeated_bases_pin(monkeypatch):
     assert digest == REPEATED_BASES_PIN
 
 
+# sha256 of compact_reduce and then full_reduce of the three-generator
+# bch_term(m, 3), m = 4..6, one sorted 'leaves:coeff' line each.  Terms
+# holding the third generator are no two-letter commutator, so no identity
+# touches them and both reductions carry them through unchanged; frozen
+# before the search ran on interned commutator indices.
+THREE_GENERATOR_PIN = "15fcc48e8453d54576929db2e7143c373de4f07179520ca0bae8da2a8caa0768"
+
+
+def test_reductions_carry_three_generator_terms():
+    lines, counts = [], []
+    for m in (4, 5, 6):
+        e = bch_term(m, 3)
+        for out in (compact_reduce(e, m), full_reduce(e, m)):
+            assert expand_lie(out) == expand_lie(e)
+            counts.append(len(out))
+            lines.append(_compaction_line(out))
+    assert counts == [11, 11, 60, 60, 108, 109]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == THREE_GENERATOR_PIN
+
+
 def _identity_sums(m: int, rng: random.Random):
     # Per block of grade m with at least four identities: its key and a
     # sum of four of them with random positive coefficients, which is zero.
@@ -572,9 +594,9 @@ def test_compact_search_steps_from_each_block_once(monkeypatch):
     keys = []
 
     def wrap(real):
-        def recorded(block, rels):
-            keys.append((frozenset(block[0].items()), block[1]))
-            return real(block, rels)
+        def recorded(node, rels, table):
+            keys.append(node.key)
+            return real(node, rels, table)
         return recorded
 
     _warm_compaction(monkeypatch, 8, _step=wrap)
@@ -582,21 +604,105 @@ def test_compact_search_steps_from_each_block_once(monkeypatch):
     assert len(set(keys)) == len(keys)
 
 
-def test_compact_search_probes_few_moves(monkeypatch):
-    # Moves built, by descent steps and by the walk: 4 313 when a step built
-    # every move that could tie its best so far, 3 168 now that it builds
-    # only the distinct moves of the least size; the count repeats exactly
-    # from run to run.
-    calls = [0]
-
+def _counted(calls):
+    # A wrap for _warm_compaction that counts calls into calls[0].
     def wrap(real):
         def counted(*args):
             calls[0] += 1
             return real(*args)
         return counted
+    return wrap
 
-    _warm_compaction(monkeypatch, 8, _move=wrap)
-    assert 0 < calls[0] <= 3_500
+
+def test_compact_search_probes_few_moves(monkeypatch):
+    # Moves built, by descent steps and by the walk: 4 313 when a step built
+    # every move that could tie its best so far, 3 168 when it built every
+    # distinct move of the least size, 1 553 now that a step that cannot
+    # shorten its block builds only moves that rank before it on the least
+    # key they change; the count repeats exactly from run to run.
+    calls = [0]
+    _warm_compaction(monkeypatch, 8, _move=_counted(calls))
+    assert 0 < calls[0] <= 1_700
+
+
+def test_compact_search_sizes_few_relations(monkeypatch):
+    # Relations sized, by descent steps and by the walk: 9 143 when a step
+    # sized every relation of its block, 4 212 now that it skips a relation
+    # whose shared keys are too few to reach the least size change.
+    calls = [0]
+    _warm_compaction(monkeypatch, 8, _relation_moves=_counted(calls))
+    assert 0 < calls[0] <= 4_500
+
+
+def _full_ranking_step(block, rels):
+    # The descent step before relations were skipped and moves filtered by
+    # their least key: size every relation, build every distinct move of the
+    # least size, and keep the first in rank; None if none ranks before
+    # block.  Also returns how many moves it built.
+    nums = block[0]
+    least = 0
+    fewest = []
+    for rel in rels:
+        seen = 0
+        for col, delta, index in identities._relation_moves(nums, rel):
+            if index < seen:
+                continue
+            seen += 1
+            if delta < least:
+                least, fewest = delta, [(rel, col)]
+            elif delta == least:
+                fewest.append((rel, col))
+    best, best_key = block, identities._key(block)
+    for rel, col in fewest:
+        move = identities._move(block, rel, col)
+        key = identities._key(move)
+        if identities._ranks_before(key, best_key):
+            best, best_key = move, key
+    return (None if best is block else best), len(fewest)
+
+
+def test_step_matches_the_full_ranking():
+    # On random blocks of every search block at grades 6-9, small values
+    # so that moves often cancel as many keys as they add, the step equals
+    # the one that builds and ranks every least-size move.
+    rng = random.Random(6011)
+    kinds = dict.fromkeys(("shorter", "same size", "tie", "none", "untouched"), 0)
+    for m in range(6, 10):
+        for search_block in identities._search_blocks(m).values():
+            rels = [rel for rel, _, _ in search_block.rels]
+            touched = {i for rel in rels for i in rel}
+            n = len(search_block.comms)
+            for _ in range(40):
+                block = identities._to_int({
+                    i: F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 1, 2, 3)))
+                    for i in rng.sample(range(n), rng.randint(1, n))
+                })
+                want, built = _full_ranking_step(block, rels)
+                node = identities._node({}, block)
+                got = identities._step(node, search_block.rels, {})
+                assert (None if got is None else got.block) == want, (m, block)
+                if want is None:
+                    kinds["none"] += 1
+                elif len(want[0]) < len(block[0]):
+                    kinds["shorter"] += 1
+                else:
+                    kinds["same size"] += 1
+                    kinds["tie"] += built > 1
+                kinds["untouched"] += not touched.issuperset(block[0])
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_compact_search_leaves_the_cached_tables_unchanged():
+    # Searches share each grade's relations and rule rows; none may change
+    # them, whether the default budget runs out or a small one does.
+    compact_reduce(bch_term(8, 2), 8)
+    before = copy.deepcopy(identities._search_blocks(8))
+    rules = [copy.deepcopy(lifted_rules(8, g)) for g in (4, 6)]
+    compact_reduce(bch_term(8, 2), 8)
+    for m, expr in _seeded_exprs(2008, 3, (8,)):
+        compact_reduce(expr, m, 1000)
+    assert identities._search_blocks(8) == before
+    assert [lifted_rules(8, g) for g in (4, 6)] == rules
 
 
 def test_compact_search_clears_each_pivot_set_once(monkeypatch):
