@@ -30,13 +30,18 @@ leaf tuples once per block, and terms no identity touches, such as
 three-generator ones, pass through unchanged.  Each block's search interns
 the blocks it meets, one node per distinct value keyed by its sorted values,
 which holds the node's descent step and the moves sized from it, so no
-step, move size or sampled basis's descent is computed twice.  It stays
-exact, and it is deterministic for fixed inputs.
+step, move size or sampled basis's descent is computed twice.  The sampled
+bases draw the same shuffles in every search of a block, so the process
+keeps each sample's pivot set as one int and learns it once.  A known pivot
+set is cleared from the basis rewrite, which is zero on every dependent
+commutator, with only the identities whose dependent commutator the set
+leaves free.  It stays exact, and it is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -237,14 +242,18 @@ class _SearchBlock(NamedTuple):
     """One X-count block of a grade as its searches see it.
 
     Its commutators in lex order and each one's index there, its identities
-    as relations in the report's order, and the grade-4 and grade-6 tail
-    rules as integer rows c - rhs by index.
+    as relations in the report's order, the grade-4 and grade-6 tail rules
+    as integer rows c - rhs by index, the indices the relations touch in
+    order, and the bitmask of their dependent commutators.  A relation's
+    dependent commutator is its greatest index, the top bit of its support.
     """
 
     comms: tuple[Leaves, ...]
     index: dict[Leaves, int]
     rels: tuple[Relation, ...]
     rules: tuple[dict[int, dict[int, int]], ...]
+    support: tuple[int, ...]
+    dependents: int
 
 
 class _Node:
@@ -684,13 +693,58 @@ def _search_blocks(m: int) -> dict[int, _SearchBlock]:
         rows = [{index[c]: v for c, v in p.items()} for p in block_prims]
         rels = tuple((r, sum(1 << i for i in r), min(r)) for r in rows)
         rules = tuple(_rule_rows(lifted_rules(m, g), index) for g in (4, 6))
-        blocks[key] = _SearchBlock(tuple(comms[key]), index, rels, rules)
+        support = tuple(sorted({i for r in rows for i in r}))
+        dependents = sum(1 << max(r) for r in rows)
+        blocks[key] = _SearchBlock(
+            tuple(comms[key]), index, rels, rules, support, dependents
+        )
     return blocks
+
+
+# Held to append to a list of ``_sampled_pivots``, so that searches of one
+# block in several threads learn each sample index once.
+_LEARNING = threading.Lock()
+
+
+@lru_cache(maxsize=None)
+def _sampled_pivots(m: int, key: int) -> list[int]:
+    # The pivot set of each sampled basis of block key at grade m reached so
+    # far in this process, as a bitmask, by sample index.  Every search of
+    # the block draws the same shuffles from a generator seeded alike, so
+    # the k-th pivot set is the same in all of them; searches append the
+    # ones they reach first.  Threads that first call this at once may each
+    # get a list of their own, of which the cache keeps one: that loses
+    # what the others learn, never a result.
+    return []
+
+
+def _sampled_block(
+    base: Block,
+    search: _SearchBlock,
+    cols: int,
+    pivots: dict[int, dict[int, int]] | None = None,
+) -> Block:
+    # The one block equivalent to base and zero on the pivot set cols.
+    # pivots, when given, are echelon rows of all relations that took cols.
+    # Otherwise base must be zero on every dependent commutator: a relation
+    # is +1 on its dependent commutator and otherwise on basis ones, so
+    # clearing cols may use only the relations whose dependent commutator
+    # is not in cols, and those need only clear cols' basis commutators.
+    if pivots is None:
+        free = [
+            dict(r) for r, support, _ in search.rels
+            if not cols >> (support.bit_length() - 1) & 1
+        ]
+        basis_cols = cols & ~search.dependents
+        pivots = _echelon(free, (i for i in search.support if basis_cols >> i & 1))
+    return _cleared(base, pivots)
 
 
 def _sample_bases(
     start: _Node,
-    rels: Sequence[Relation],
+    base: Block,
+    search: _SearchBlock,
+    known: list[int],
     meter: list[int],
     budget: int,
     rng: random.Random,
@@ -699,25 +753,37 @@ def _sample_bases(
     # Rewrite onto bases drawn at random: a shuffle picks which commutators
     # get eliminated, its last first, and each resulting representation is
     # polished by descent.  Samples representations far apart in move
-    # distance, which the local walk cannot reach.  The cleared block
-    # depends only on the pivot columns, so each pivot set met is cleared
-    # once and mapped to its cleared node and the length of its descent
-    # chain, when that descent ended before the budget ran out.  A repeated
-    # pivot set whose chain fits in the budget left only advances the
-    # meter: its candidate was compared with a best that has only improved
-    # since.  One that does not fit descends again, and is cut short.
+    # distance, which the local walk cannot reach.  The k-th shuffle's pivot
+    # set is known[k] once any search of the block has reached it; a new one
+    # comes from an echelon pass over all relations and is appended.  The
+    # cleared block depends only on the pivot columns, so each pivot set
+    # met is cleared once, from base (zero on every dependent commutator),
+    # and mapped to its cleared node and the length of its descent chain,
+    # when that descent ended before the budget ran out.  A repeated pivot
+    # set whose chain fits in the budget left only advances the meter: its
+    # candidate was compared with a best that has only improved since.  One
+    # that does not fit descends again, and is cut short.
     best = start
-    support = sorted({i for r, _, _ in rels for i in r})
-    chains: dict[frozenset[int], tuple[_Node, int]] = {}
+    rels = search.rels
+    chains: dict[int, tuple[_Node, int]] = {}
+    sample = 0
     while meter[0] < budget:
         meter[0] += 1
-        perm = list(support)
+        perm = list(search.support)
         rng.shuffle(perm)
-        pivots = _echelon([dict(r) for r, _, _ in rels], reversed(perm))
-        cols = frozenset(pivots)
+        pivots = None
+        if sample < len(known):
+            cols = known[sample]
+        else:
+            pivots = _echelon([dict(r) for r, _, _ in rels], reversed(perm))
+            cols = sum(1 << i for i in pivots)
+            with _LEARNING:
+                if len(known) == sample:  # no other thread learned it first
+                    known.append(cols)
+        sample += 1
         chain = chains.get(cols)
         if chain is None:
-            node = _node(table, _cleared(start.block, pivots))
+            node = _node(table, _sampled_block(base, search, cols, pivots))
         elif meter[0] + chain[1] <= budget:
             meter[0] += chain[1]
             continue
@@ -799,10 +865,16 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     search keeps a table of the blocks it meets, one node per distinct value
     with its descent step and the moves sized from it, and drops the table
     when the block is done: a descent that reaches a node stepped from
-    before follows the stored steps, metered as if taken again.  A sampled
-    basis is reached with echelon rows alone, with no back-substitution, and
-    each pivot set met is cleared and descended from once; a repeated one
-    advances the meter by its chain's length.
+    before follows the stored steps, metered as if taken again.  The k-th
+    sampled basis of a block is the same in every search, so its pivot set
+    is learned once per process, by an echelon pass over all the block's
+    relations, and kept as one int per sample index reached; no echelon
+    rows outlive a block's search.  Each pivot set a search meets is
+    cleared and descended from once, from the basis rewrite with only the
+    relations whose dependent commutator it leaves free (with the echelon
+    rows just taken when the sample index is new to the process); a
+    repeated one advances the meter by its chain's length.  What the
+    process has learned changes no result, meter or random draw.
     Deterministic for fixed inputs; exact; makes no optimality claim.  A
     negative budget is refused.
     """
@@ -829,7 +901,8 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
         if key not in blocks:
             out.update(parts[key])
             continue
-        comms, index, rels, rules = blocks[key]
+        search = blocks[key]
+        comms, index, rels = search.comms, search.index, search.rels
         terms: dict[int, Fraction] = {}
         for leaves, c in parts[key].items():
             if leaves in index:
@@ -838,18 +911,22 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
                 out[leaves] = c  # no identity touches it
         start = _to_int(terms)
         # Each seed is the one block equivalent to start and zero on a
-        # rewrite's pivots, so it equals that rewrite's block.
+        # rewrite's pivots, so it equals that rewrite's block.  The first,
+        # the basis rewrite, is zero on every dependent commutator.
         table: Table = {}
         best = _node(table, start)
         nums = start[0]
-        support = {i for r, _, _ in rels for i in r}
-        heavy = sorted(support, key=lambda i: (abs(nums.get(i, 0)), i))
-        for pivots in (
-            {max(r): r for r, _, _ in rels},
-            *rules,
-            _echelon([dict(r) for r, _, _ in rels], reversed(heavy)),
-        ):
-            cand = _node(table, _cleared(start, pivots))
+        heavy = sorted(search.support, key=lambda i: abs(nums.get(i, 0)))
+        seeds = [
+            _cleared(start, pivots)
+            for pivots in (
+                {max(r): r for r, _, _ in rels},
+                *search.rules,
+                _echelon([dict(r) for r, _, _ in rels], reversed(heavy)),
+            )
+        ]
+        for seed in seeds:
+            cand = _node(table, seed)
             if _ranks_before(cand.key, best.key):
                 best = cand
         if best.block[0]:
@@ -858,7 +935,10 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
             share = max(1, budget * len(rels) // max(1, total_rels))
             meter = [0]
             rng = random.Random(m * 1009 + key)
-            best = _sample_bases(best, rels, meter, share * 3 // 5, rng, table)
+            best = _sample_bases(
+                best, seeds[0], search, _sampled_pivots(m, key),
+                meter, share * 3 // 5, rng, table,
+            )
             best = _anneal(best, rels, meter, share, rng, table)
             # Steps and moves link nodes in cycles (a move and its reverse),
             # so unlink them to free the table now, not at the next full

@@ -5,6 +5,8 @@ import cProfile
 import hashlib
 import pstats
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +14,7 @@ import pytest
 
 from bchnest import identities, terms
 from bchnest.identities import (
+    _COMPACT_BUDGET,
     ExactMatrix,
     apply_regime,
     apply_rules,
@@ -708,9 +711,12 @@ def test_compact_search_leaves_the_cached_tables_unchanged():
 def test_compact_search_clears_each_pivot_set_once(monkeypatch):
     # A sampled basis's cleared block depends only on its pivot columns, so
     # each block's search clears a pivot set once; before the pivot sets
-    # were kept, 2 122 sampled bases here cleared 130 distinct ones.
-    searches: list[list[frozenset]] = []
-    current: list[list[frozenset] | None] = [None]
+    # were kept, 2 122 sampled bases here cleared 130 distinct ones.  The
+    # pivot set is recorded as handed to the clear: the rows _cleared gets
+    # from the free relations take only its basis columns, which two pivot
+    # sets can share.
+    searches: list[list[int]] = []
+    current: list[list[int] | None] = [None]
 
     def wrap_search(real):
         def scoped(*args):
@@ -722,15 +728,15 @@ def test_compact_search_clears_each_pivot_set_once(monkeypatch):
                 current[0] = None
         return scoped
 
-    def wrap_cleared(real):
-        def recorded(start, pivots):
+    def wrap_clear(real):
+        def recorded(base, search, cols, pivots=None):
             if current[0] is not None:
-                current[0].append(frozenset(pivots))
-            return real(start, pivots)
+                current[0].append(cols)
+            return real(base, search, cols, pivots)
         return recorded
 
     _warm_compaction(
-        monkeypatch, 7, _sample_bases=wrap_search, _cleared=wrap_cleared
+        monkeypatch, 7, _sample_bases=wrap_search, _sampled_block=wrap_clear
     )
     assert sum(map(len, searches)) > len(searches)
     assert all(len(set(cleared)) == len(cleared) for cleared in searches)
@@ -738,8 +744,10 @@ def test_compact_search_clears_each_pivot_set_once(monkeypatch):
 
 def test_sampled_basis_needs_no_back_substitution():
     # The block cleared with the echelon rows in the order taken equals the
-    # block cleared with the fully reduced pivot rows, on random blocks
-    # under random column orders, for every block at grades 6-9.
+    # block cleared with the fully reduced pivot rows, and the block cleared
+    # from the basis rewrite with only the relations whose dependent
+    # commutator the pivot set leaves free, on random blocks under random
+    # column orders, for every block at grades 6-9.
     rng = random.Random(6009)
     for m in range(6, 10):
         rel_blocks = {}
@@ -748,7 +756,10 @@ def test_sampled_basis_needs_no_back_substitution():
                 identities._primitive(ident.terms)
             )
         comms = enumerate_nested(m)
+        searches = identities._search_blocks(m)
         for key, rels in rel_blocks.items():
+            search = searches[key]
+            index = search.index
             block = [c for c in comms if c.count(0) == key]
             support = sorted({l for r in rels for l in r})
             for _ in range(4):
@@ -764,3 +775,108 @@ def test_sampled_basis_needs_no_back_substitution():
                 nums, den = identities._cleared(start, echelon)
                 assert not any(col in nums for col in reduced)
                 assert (nums, den) == identities._cleared(start, reduced)
+                base = identities._cleared(
+                    ({index[c]: v for c, v in start[0].items()}, start[1]),
+                    {max(r): r for r, _, _ in search.rels},
+                )
+                assert not base[0].keys() & {max(r) for r, _, _ in search.rels}
+                cols = sum(1 << index[c] for c in echelon)
+                freed = identities._sampled_block(base, search, cols)
+                assert freed == ({index[c]: v for c, v in nums.items()}, den)
+
+
+def _pivot_set_counts(m: int) -> dict[int, int]:
+    # How many sampled pivot sets this process knows, per block of grade m.
+    return {
+        key: len(identities._sampled_pivots(m, key))
+        for key in identities._search_blocks(m)
+    }
+
+
+def test_known_pivot_sets_change_no_result(monkeypatch):
+    # Every search of a block draws the same shuffles, so the k-th sampled
+    # pivot set one search learns serves every later one.  Whatever the
+    # process has learned, a search gives the same result and stops its
+    # meter at the same draw: with nothing learned, with part of what it
+    # needs learned by a budget-100 search, and after a default-budget
+    # search of another expression.
+    m = 7
+    (_, expr), (_, other) = _seeded_exprs(7012, 2, (m,))
+    lines = []
+    for budget in (None, 100, _COMPACT_BUDGET):
+        identities._sampled_pivots.cache_clear()
+        if budget is not None:
+            compact_reduce(other, m, budget)
+        before = _pivot_set_counts(m)
+        lines += _budget_pin_lines(monkeypatch, [(m, expr)], (_COMPACT_BUDGET,))
+        after = _pivot_set_counts(m)
+        if budget == 100:
+            # The search met known pivot sets and learned new ones.
+            assert any(0 < before[k] < after[k] for k in after)
+    assert len(lines) == 3 and len(set(lines)) == 1
+    for key, search in identities._search_blocks(m).items():
+        rng = random.Random(m * 1009 + key)
+        for cols in identities._sampled_pivots(m, key):
+            perm = list(search.support)
+            rng.shuffle(perm)
+            rows = [dict(r) for r, _, _ in search.rels]
+            pivots = identities._echelon(rows, reversed(perm))
+            assert cols == sum(1 << i for i in pivots)
+
+
+def test_threads_learn_each_sample_index_once():
+    # Searches of one grade in several threads share the pivot sets the
+    # process learns.  With the thread switch interval shortened so that
+    # they interleave, each gives the lone search's result, and the lists
+    # end as the lone search left them.
+    m = 6
+    exprs = [expr for _, expr in _seeded_exprs(6013, 4, (m,))]
+    identities._sampled_pivots.cache_clear()
+    want = [compact_reduce(expr, m) for expr in exprs]
+    blocks = identities._search_blocks(m)
+    learned = {key: list(identities._sampled_pivots(m, key)) for key in blocks}
+    identities._sampled_pivots.cache_clear()
+    _pivot_set_counts(m)  # each block's list exists before the threads start
+    got = [None] * len(exprs)
+
+    def run(i):
+        got[i] = compact_reduce(exprs[i], m)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(exprs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
+    assert {key: identities._sampled_pivots(m, key) for key in blocks} == learned
+
+
+def test_warm_search_learns_no_pivot_set_again(monkeypatch):
+    # A second search of a grade knows every sampled pivot set it reaches,
+    # so the only echelon pass it runs over a block's full relation list
+    # and whole support is the one for the largest-coefficient seed.  (A
+    # pivot set that holds no dependent commutator leaves every relation
+    # free, but its clear takes only the set's own columns.)  Before the
+    # pivot sets were kept across searches, this search ran 2 556 of them.
+    blocks = identities._search_blocks(8)
+    full = dict.fromkeys(blocks, 0)
+
+    def wrap(real):
+        def recorded(rows, order):
+            order = list(order)
+            for key, search in blocks.items():
+                if len(order) == len(search.support) and rows == [
+                    r for r, _, _ in search.rels
+                ]:
+                    full[key] += 1
+            return real(rows, order)
+        return recorded
+
+    _warm_compaction(monkeypatch, 8, _echelon=wrap)
+    assert max(full.values()) == 1
