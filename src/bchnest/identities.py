@@ -35,7 +35,13 @@ bases draw the same shuffles in every search of a block, so the process
 keeps each sample's pivot set as one int and learns it once.  A known pivot
 set is cleared from the basis rewrite, which is zero on every dependent
 commutator, with only the identities whose dependent commutator the set
-leaves free.  It stays exact, and it is deterministic for fixed inputs.
+leaves free.  A block's search stops once its best is proven to rank
+first among the block's representations of the same element: an integer
+walk over the independent sets of at most as many commutators as the best
+has terms, tried only when those sets number no more than the meter steps
+left.  The best is only ever replaced by a block that ranks before it, so
+the stop changes no result.  It stays exact, and it is deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from bchnest.series import bch_term, symmetric_bch_term
@@ -246,6 +252,10 @@ class _SearchBlock(NamedTuple):
     as integer rows c - rhs by index, the indices the relations touch in
     order, and the bitmask of their dependent commutators.  A relation's
     dependent commutator is its greatest index, the top bit of its support.
+    coords holds each touched index's coordinates over the touched basis
+    commutators, up to a positive factor, in index order: a basis
+    commutator is a unit vector, a dependent one minus the rest of its
+    relation.
     """
 
     comms: tuple[Leaves, ...]
@@ -254,6 +264,7 @@ class _SearchBlock(NamedTuple):
     rules: tuple[dict[int, dict[int, int]], ...]
     support: tuple[int, ...]
     dependents: int
+    coords: dict[int, dict[int, int]]
 
 
 class _Node:
@@ -694,9 +705,15 @@ def _search_blocks(m: int) -> dict[int, _SearchBlock]:
         rels = tuple((r, sum(1 << i for i in r), min(r)) for r in rows)
         rules = tuple(_rule_rows(lifted_rules(m, g), index) for g in (4, 6))
         support = tuple(sorted({i for r in rows for i in r}))
-        dependents = sum(1 << max(r) for r in rows)
+        solved = {max(r): r for r in rows}
+        dependents = sum(1 << d for d in solved)
+        coords = {
+            i: {j: -v for j, v in solved[i].items() if j != i} if i in solved
+            else {i: 1}
+            for i in support
+        }
         blocks[key] = _SearchBlock(
-            tuple(comms[key]), index, rels, rules, support, dependents
+            tuple(comms[key]), index, rels, rules, support, dependents, coords
         )
     return blocks
 
@@ -740,18 +757,106 @@ def _sampled_block(
     return _cleared(base, pivots)
 
 
+def _proven_first(
+    node: _Node, base: Block, search: _SearchBlock, allowance: int
+) -> bool:
+    # True when no block equivalent to node's ranks before it: a search
+    # replaces its best only by a block that ranks before it, so such a
+    # best is final.  Terms off the support are the same in every
+    # equivalent block and change no ranking, so only node's s terms on the
+    # support count, the least of them at support position least.  A block
+    # that ranks before node's lies on at most s commutators, and when they
+    # are dependent a smaller independent set among them spans the target,
+    # base's values on the support, too.  So the proof walks the independent
+    # sets of at most s commutators in increasing order, with forward
+    # echelon rows of their coordinates and the target reduced by them.  It
+    # fails when the target lies in the span of fewer than s, or of s whose
+    # least is below least.  On s whose least is least, the one equivalent
+    # block is zero off a basis extending them; ``_sampled_block`` clears it
+    # from base to rank it against node's.  Sets of s whose least is above
+    # least are not walked: their block ranks after node's, or lies on a
+    # smaller set.  Not tried, and False, when the sets to walk may
+    # outnumber allowance.
+    support = search.support
+    vectors = list(search.coords.values())
+    n = len(vectors)
+    held = [p for p, i in enumerate(support) if i in node.block[0]]
+    s = len(held)
+    if sum(comb(n, k) for k in range(s + 1)) > allowance:
+        return False
+    target = {i: v for i, v in base[0].items() if i in search.coords}
+    if not target:
+        return not s
+    least = held[0]
+    chosen: list[int] = []
+    rows: list[tuple[int, dict[int, int]]] = []
+
+    def reduced(p: int) -> dict[int, int]:
+        vec = dict(vectors[p])
+        for col, row in rows:
+            if col in vec:
+                _eliminate(vec, row, col)
+        return vec
+
+    def stays_first() -> bool:
+        # Whether no block zero off a basis extending chosen ranks before
+        # node's.
+        kept = set(chosen)
+        depth = len(rows)
+        for p in range(n):
+            if p not in kept:
+                vec = reduced(p)
+                if vec:
+                    rows.append((next(iter(vec)), vec))
+                    kept.add(p)
+        del rows[depth:]
+        cols = sum(1 << i for p, i in enumerate(support) if p not in kept)
+        return not _ranks_before(_key(_sampled_block(base, search, cols)), node.key)
+
+    def walk(first: int, rest: dict[int, int]) -> bool:
+        # False when an extension of chosen from position first on spans
+        # the target with a block ranking before node's.
+        size = len(chosen) + 1
+        for p in range(first, n):
+            if size == s and (chosen[0] if chosen else p) > least:
+                break
+            vec = reduced(p)
+            if not vec:
+                continue
+            col = next(iter(vec))
+            left = dict(rest)
+            if col in left:
+                _eliminate(left, vec, col)
+            chosen.append(p)
+            rows.append((col, vec))
+            if not left:
+                ok = size == s and chosen[0] == least and (
+                    chosen == held or stays_first()
+                )
+            else:
+                ok = size == s or walk(p + 1, left)
+            rows.pop()
+            chosen.pop()
+            if not ok:
+                return False
+        return True
+
+    return walk(0, target)
+
+
 def _sample_bases(
     start: _Node,
     base: Block,
     search: _SearchBlock,
     known: list[int],
     meter: list[int],
-    budget: int,
+    share: int,
     rng: random.Random,
     table: Table,
 ) -> _Node:
-    # Rewrite onto bases drawn at random: a shuffle picks which commutators
-    # get eliminated, its last first, and each resulting representation is
+    # Rewrite onto bases drawn at random, until three fifths of the block's
+    # meter share is spent: a shuffle picks which commutators get
+    # eliminated, its last first, and each resulting representation is
     # polished by descent.  Samples representations far apart in move
     # distance, which the local walk cannot reach.  The k-th shuffle's pivot
     # set is known[k] once any search of the block has reached it; a new one
@@ -762,9 +867,11 @@ def _sample_bases(
     # when that descent ended before the budget ran out.  A repeated pivot
     # set whose chain fits in the budget left only advances the meter: its
     # candidate was compared with a best that has only improved since.  One
-    # that does not fit descends again, and is cut short.
+    # that does not fit descends again, and is cut short.  A new best
+    # proven rank-first spends the whole share, which ends the search.
     best = start
     rels = search.rels
+    budget = share * 3 // 5
     chains: dict[int, tuple[_Node, int]] = {}
     sample = 0
     while meter[0] < budget:
@@ -795,26 +902,33 @@ def _sample_bases(
             chains[cols] = node, meter[0] - before
         if _ranks_before(cand.key, best.key):
             best = cand
+            if _proven_first(best, base, search, share - meter[0]):
+                meter[0] = share
     return best
 
 
 def _anneal(
     start: _Node,
-    rels: Sequence[Relation],
+    base: Block,
+    search: _SearchBlock,
     meter: list[int],
-    budget: int,
+    share: int,
     rng: random.Random,
     table: Table,
 ) -> _Node:
     # Random walk that tolerates slightly larger intermediates, polishing
     # with descent whenever it ties the best and restarting from the best
-    # whenever it drifts too long without improving on it.  A node's moves
-    # are sized once per relation drawn there; a move is built only when
-    # the walk first takes it.
-    best = _descend(start, rels, meter, budget, table)
+    # whenever it drifts too long without improving on it, until the
+    # block's meter share is spent.  A node's moves are sized once per
+    # relation drawn there; a move is built only when the walk first takes
+    # it.  A new best proven rank-first spends the rest of the share.
+    rels = search.rels
+    best = _descend(start, rels, meter, share, table)
+    if best is not start and _proven_first(best, base, search, share - meter[0]):
+        meter[0] = share
     current = best
     drift = 0
-    while meter[0] < budget:
+    while meter[0] < share:
         meter[0] += 1
         i = rng.randrange(len(rels))
         entry = current.moves.get(i)
@@ -834,10 +948,12 @@ def _anneal(
                     )
                 current = nxt
                 if len(current.block[0]) <= len(best.block[0]):
-                    settled = _descend(current, rels, meter, budget, table)
+                    settled = _descend(current, rels, meter, share, table)
                     if settled is not best and _ranks_before(settled.key, best.key):
                         best = current = settled
                         drift = 0
+                        if _proven_first(best, base, search, share - meter[0]):
+                            meter[0] = share
         drift += 1
         if drift > 300:
             current = best
@@ -857,13 +973,20 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     Steepest-descent single-relation moves follow, then a seeded random walk
     that may pass through slightly larger representations; the best block is
     replaced only by one that ranks before it, so no result block is longer
-    than the input's or any seed's, at any budget, and a block whose best
-    seed is empty is not searched; terms no identity touches are kept as
-    they are.  All moves of one relation are sized in one pass, by the terms
-    they would cancel; a descent step skips a relation sharing too few terms
-    with its block, and builds only moves that can rank first.  Each block's
-    search keeps a table of the blocks it meets, one node per distinct value
-    with its descent step and the moves sized from it, and drops the table
+    than the input's or any seed's, at any budget; terms no identity
+    touches are kept as they are.  A block's search ends as soon as its
+    best, a seed or a later one, is proven to rank first among the block's
+    representations of the element, so an empty best seed is not searched:
+    the proof walks the independent sets of at most as many commutators as
+    the best has terms, on integer coordinates over the block's basis, and
+    is tried only when there are no more such sets than meter steps left.
+    Since the best is replaced only by a block that ranks before it, the
+    stop changes no result.  All moves of one relation are sized in one
+    pass, by the terms they would cancel; a descent step skips a relation
+    sharing too few terms with its block, and builds only moves that can
+    rank first.  Each block's search keeps a table of the blocks it meets,
+    one node per distinct value with its descent step and the moves sized
+    from it, and drops the table
     when the block is done: a descent that reaches a node stepped from
     before follows the stored steps, metered as if taken again.  The k-th
     sampled basis of a block is the same in every search, so its pivot set
@@ -875,8 +998,8 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     rows just taken when the sample index is new to the process); a
     repeated one advances the meter by its chain's length.  What the
     process has learned changes no result, meter or random draw.
-    Deterministic for fixed inputs; exact; makes no optimality claim.  A
-    negative budget is refused.
+    Deterministic for fixed inputs; exact; claims no optimality beyond the
+    blocks it proves.  A negative budget is refused.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -929,17 +1052,17 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
             cand = _node(table, seed)
             if _ranks_before(cand.key, best.key):
                 best = cand
-        if best.block[0]:
-            # Nothing ranks before an empty block, so an empty best seed
-            # is not searched; each block has its own meter and generator.
-            share = max(1, budget * len(rels) // max(1, total_rels))
+        # Each block has its own meter share and generator, and a best
+        # seed proven rank-first, an empty one included, is not searched.
+        share = max(1, budget * len(rels) // max(1, total_rels))
+        if not _proven_first(best, seeds[0], search, share):
             meter = [0]
             rng = random.Random(m * 1009 + key)
             best = _sample_bases(
                 best, seeds[0], search, _sampled_pivots(m, key),
-                meter, share * 3 // 5, rng, table,
+                meter, share, rng, table,
             )
-            best = _anneal(best, rels, meter, share, rng, table)
+            best = _anneal(best, seeds[0], search, meter, share, rng, table)
             # Steps and moves link nodes in cycles (a move and its reverse),
             # so unlink them to free the table now, not at the next full
             # collection.

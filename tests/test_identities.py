@@ -439,6 +439,14 @@ def test_compact_reduce_library_pin():
     assert digest == LIBRARY_PIN
 
 
+def _search_to_the_meter(monkeypatch) -> None:
+    # Turn off the stop at a best proven rank-first, which changes no result
+    # (test_proven_stop_changes_no_result) but ends a search before its
+    # meter runs out: tests that pin the generator's draws, or count what
+    # sampled bases learn and clear, see every block search to its meter.
+    monkeypatch.setattr(identities, "_proven_first", lambda *args: False)
+
+
 def _budget_pin_lines(monkeypatch, exprs, budgets) -> list[str]:
     # One line per budget and expression: the compaction, then the next
     # draw of every block's generator.  Each block's search draws from its
@@ -467,11 +475,12 @@ def _budget_pin_lines(monkeypatch, exprs, budgets) -> list[str]:
 # bch_term(6) and bch_term(7) at budgets that cut the search off within its
 # first few sampled bases and descent steps, each line followed by the next
 # draw of every block's generator; frozen from the search that re-ran every
-# descent step.
+# descent step, and run without the rank-first stop.
 SMALL_BUDGET_PIN = "97e4311e8d80032783434cb5135fac6d1e7291552678805742cfe5aca8da912b"
 
 
 def test_compact_reduce_small_budget_pin(monkeypatch):
+    _search_to_the_meter(monkeypatch)
     exprs = _seeded_exprs(6007, 8, (6, 7)) + [(m, bch_term(m, 2)) for m in (6, 7)]
     lines = _budget_pin_lines(monkeypatch, exprs, (0, 1, 2, 5, 17, 60))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -482,16 +491,37 @@ def test_compact_reduce_small_budget_pin(monkeypatch):
 # bch_term(4..6) at budgets where sampled bases repeat a pivot set many
 # times and the budget cuts a descent short, each line followed by the next
 # draw of every block's generator; frozen from the search that cleared and
-# descended again for every sample.
+# descended again for every sample, and run without the rank-first stop.
 REPEATED_BASES_PIN = "839782d9d34810287bbd5c57c4ced6341fe14e62fa7eb6417dd3c65ff782bde0"
 
 
 def test_compact_reduce_repeated_bases_pin(monkeypatch):
+    _search_to_the_meter(monkeypatch)
     exprs = _seeded_exprs(4005, 9, (4, 5, 6))
     exprs += [(m, bch_term(m, 2)) for m in (4, 5, 6)]
     lines = _budget_pin_lines(monkeypatch, exprs, (100, 250, 400))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == REPEATED_BASES_PIN
+
+
+def test_proven_stop_changes_no_result(monkeypatch):
+    # A block search stops once its best is proven rank-first; without the
+    # stop it runs to its meter and gives the same terms in the same order,
+    # at budgets that cut the search off early and at the default.
+    exprs = _seeded_exprs(4013, 10, (4, 5, 6, 7, 8))
+    exprs += [(m, bch_term(m, 2)) for m in range(4, 9)]
+    exprs += [(m, symmetric_bch_term(m, phi=compact_bch_term)) for m in range(4, 9)]
+    budgets = (0, 5, 60, 1000, _COMPACT_BUDGET)
+    stopped = [
+        list(compact_reduce(expr, m, budget).terms.items())
+        for budget in budgets for m, expr in exprs
+    ]
+    _search_to_the_meter(monkeypatch)
+    metered = [
+        list(compact_reduce(expr, m, budget).terms.items())
+        for budget in budgets for m, expr in exprs
+    ]
+    assert stopped == metered
 
 
 # sha256 of compact_reduce and then full_reduce of the three-generator
@@ -541,9 +571,9 @@ def test_compact_reduce_keeps_a_seed_that_cancels():
 
 def test_compact_search_skips_an_empty_seed(monkeypatch):
     # Nothing ranks before an empty block, so a block whose best seed is
-    # empty is not searched.  Before it was skipped, one such grade-8 sum
-    # took 6 001 _echelon calls at the default budget, and the grade-6
-    # symmetric term, 3 terms that cancel, a 0.07 s search.
+    # empty is proven rank-first and not searched.  Before it was skipped,
+    # one such grade-8 sum took 6 001 _echelon calls at the default budget,
+    # and the grade-6 symmetric term, 3 terms that cancel, a 0.07 s search.
     sym = symmetric_bch_term(6, phi=compact_bch_term)
     sums = [z for _, z in _identity_sums(8, random.Random(1))]
     assert len(sym) == 3 and sums
@@ -635,6 +665,93 @@ def test_compact_search_sizes_few_relations(monkeypatch):
     calls = [0]
     _warm_compaction(monkeypatch, 8, _relation_moves=_counted(calls))
     assert 0 < calls[0] <= 4_500
+
+
+def test_compact_search_takes_few_steps(monkeypatch):
+    # Descent steps computed: 130 when every block searched to its meter,
+    # 8 now that a block whose best is proven rank-first stops, its seed
+    # in all but one of grade 7's four blocks; the count repeats exactly
+    # from run to run.
+    calls = [0]
+    _warm_compaction(monkeypatch, 7, _step=_counted(calls))
+    assert 0 < calls[0] <= 8
+
+
+def _solve(columns, rhs):
+    # The one x with sum(x[j] * columns[j]) == rhs over the rationals, or
+    # None when there is none or more than one.
+    keys = sorted(set(rhs).union(*columns))
+    rows = [[F(col.get(k, 0)) for col in columns] + [F(rhs.get(k, 0))] for k in keys]
+    n = len(columns)
+    for j in range(n):
+        pick = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if pick is None:
+            return None
+        rows[j], rows[pick] = rows[pick], rows[j]
+        rows[j] = [v / rows[j][j] for v in rows[j]]
+        for i, row in enumerate(rows):
+            if i != j and row[j]:
+                rows[i] = [a - row[j] * b for a, b in zip(row, rows[j])]
+    if any(row[n] for row in rows[n:]):
+        return None
+    return [row[n] for row in rows[:n]]
+
+
+def _first_by_every_support(search, block, node_key):
+    # Whether some block of the same element ranks before node_key, found
+    # by solving over the word expansions on every set of the block's
+    # commutators.  A set of dependent commutators is left out: a
+    # representation on it has as many terms as the set, more than one on
+    # an independent subset spanning the element, which is solved too.
+    comms = search.comms
+    expansions = [expand_nested(c).terms for c in comms]
+    nums, den = block
+    target = expand_lie(LieExpr({comms[i]: F(v, den) for i, v in nums.items()})).terms
+    for mask in range(1 << len(comms)):
+        chosen = [i for i in range(len(comms)) if mask >> i & 1]
+        x = _solve([expansions[i] for i in chosen], target)
+        if x is not None:
+            cand = identities._to_int({i: v for i, v in zip(chosen, x) if v})
+            if identities._ranks_before(identities._key(cand), node_key):
+                return False
+    return True
+
+
+def test_proof_matches_enumerating_every_support():
+    # On random blocks of every search block at grades 4-6, the proof holds
+    # for a block exactly when no block of the same element, on any set of
+    # the block's commutators, ranks before it.  The blocks tried are the
+    # basis rewrite, its descent, and each single move from those.
+    rng = random.Random(4017)
+    outcomes = {True: 0, False: 0}
+    for m in (4, 5, 6):
+        for search in identities._search_blocks(m).values():
+            n = len(search.comms)
+            for _ in range(12):
+                start = identities._to_int({
+                    i: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+                    for i in rng.sample(range(n), rng.randint(1, n))
+                })
+                base = identities._cleared(
+                    start, {max(r): r for r, _, _ in search.rels}
+                )
+                table = {}
+                descended = identities._descend(
+                    identities._node(table, base), search.rels, [0], 100, table
+                )
+                tried = [base, descended.block]
+                for block in tried[:2]:
+                    for rel, _, _ in search.rels:
+                        for col, _, _ in identities._relation_moves(block[0], rel):
+                            tried.append(identities._move(block, rel, col))
+                for block in tried:
+                    node = identities._node({}, block)
+                    got = identities._proven_first(node, base, search, 1 << n)
+                    assert got == _first_by_every_support(search, block, node.key), (
+                        m, block
+                    )
+                    outcomes[got] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def _full_ranking_step(block, rels):
@@ -735,6 +852,7 @@ def test_compact_search_clears_each_pivot_set_once(monkeypatch):
             return real(base, search, cols, pivots)
         return recorded
 
+    _search_to_the_meter(monkeypatch)
     _warm_compaction(
         monkeypatch, 7, _sample_bases=wrap_search, _sampled_block=wrap_clear
     )
@@ -800,6 +918,7 @@ def test_known_pivot_sets_change_no_result(monkeypatch):
     # meter at the same draw: with nothing learned, with part of what it
     # needs learned by a budget-100 search, and after a default-budget
     # search of another expression.
+    _search_to_the_meter(monkeypatch)
     m = 7
     (_, expr), (_, other) = _seeded_exprs(7012, 2, (m,))
     lines = []
@@ -878,5 +997,6 @@ def test_warm_search_learns_no_pivot_set_again(monkeypatch):
             return real(rows, order)
         return recorded
 
+    _search_to_the_meter(monkeypatch)
     _warm_compaction(monkeypatch, 8, _echelon=wrap)
     assert max(full.values()) == 1
