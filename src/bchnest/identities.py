@@ -30,12 +30,13 @@ leaf tuples once per block, and terms no identity touches, such as
 three-generator ones, pass through unchanged.  Each block's search interns
 the blocks it meets, one node per distinct value keyed by its sorted values,
 which holds the node's descent step and the moves sized from it, so no
-step, move size or sampled basis's descent is computed twice.  The sampled
-bases draw the same shuffles in every search of a block, so the process
-keeps each sample's pivot set as one int and learns it once.  A known pivot
-set is cleared from the basis rewrite, which is zero on every dependent
-commutator, with only the identities whose dependent commutator the set
-leaves free.  A block's search stops once its best is proven to rank
+step, move size or sampled basis's descent is computed twice.  One routine,
+``_pivot_set``, picks every basis the search uses from the commutators'
+coordinates; by matroid duality it leaves out the pivots an echelon pass
+over the identities takes in the reverse order.  The process learns each
+sampled basis's pivot set once, as one int, and every pivot set is cleared
+one way, from the basis rewrite with the identities the set leaves free.
+A block's search stops once its best is proven to rank
 first among the block's representations of the same element: an integer
 walk over the independent sets of at most as many commutators as the best
 has terms, tried only when those sets number no more than the meter steps
@@ -242,6 +243,10 @@ Relation = tuple[dict[int, int], int, int]
 # A move of one relation from a block, as ``_relation_moves`` gives it: the
 # index it clears, the size change and the index of the distinct move.
 Move = tuple[int, int, int]
+
+# Forward echelon rows on commutator indices, each with the column it
+# clears, in the order taken; no row holds the column of a row before it.
+Echelon = list[tuple[int, dict[int, int]]]
 
 
 class _SearchBlock(NamedTuple):
@@ -735,25 +740,46 @@ def _sampled_pivots(m: int, key: int) -> list[int]:
     return []
 
 
-def _sampled_block(
-    base: Block,
-    search: _SearchBlock,
-    cols: int,
-    pivots: dict[int, dict[int, int]] | None = None,
-) -> Block:
+def _reduced(vec: dict[int, int], rows: Echelon) -> dict[int, int]:
+    # A copy of vec with each row's column cleared, rows in order.
+    vec = dict(vec)
+    for col, row in rows:
+        if col in vec:
+            _eliminate(vec, row, col)
+    return vec
+
+
+def _pivot_set(search: _SearchBlock, order: Iterable[int]) -> int:
+    # The support indices left out of the lex-first independent subset of
+    # search.coords in order, as a bitmask: those off the basis the search
+    # picks by order.  By matroid duality they are the pivot columns an
+    # echelon pass over the block's relations takes in the reverse order.
+    # An index repeated in order is dependent the second time.
+    rank = len(search.support) - len(search.rels)
+    rows: Echelon = []
+    cols = sum(1 << i for i in search.support)
+    for i in order:
+        if len(rows) == rank:
+            break
+        vec = _reduced(search.coords[i], rows)
+        if vec:
+            rows.append((next(iter(vec)), vec))
+            cols ^= 1 << i
+    return cols
+
+
+def _sampled_block(base: Block, search: _SearchBlock, cols: int) -> Block:
     # The one block equivalent to base and zero on the pivot set cols.
-    # pivots, when given, are echelon rows of all relations that took cols.
-    # Otherwise base must be zero on every dependent commutator: a relation
-    # is +1 on its dependent commutator and otherwise on basis ones, so
-    # clearing cols may use only the relations whose dependent commutator
-    # is not in cols, and those need only clear cols' basis commutators.
-    if pivots is None:
-        free = [
-            dict(r) for r, support, _ in search.rels
-            if not cols >> (support.bit_length() - 1) & 1
-        ]
-        basis_cols = cols & ~search.dependents
-        pivots = _echelon(free, (i for i in search.support if basis_cols >> i & 1))
+    # base must be zero on every dependent commutator: a relation is +1 on
+    # its dependent commutator and otherwise on basis ones, so clearing
+    # cols may use only the relations whose dependent commutator is not in
+    # cols, and those need only clear cols' basis commutators.
+    free = [
+        dict(r) for r, support, _ in search.rels
+        if not cols >> (support.bit_length() - 1) & 1
+    ]
+    basis_cols = cols & ~search.dependents
+    pivots = _echelon(free, (i for i in search.support if basis_cols >> i & 1))
     return _cleared(base, pivots)
 
 
@@ -772,11 +798,11 @@ def _proven_first(
     # echelon rows of their coordinates and the target reduced by them.  It
     # fails when the target lies in the span of fewer than s, or of s whose
     # least is below least.  On s whose least is least, the one equivalent
-    # block is zero off a basis extending them; ``_sampled_block`` clears it
-    # from base to rank it against node's.  Sets of s whose least is above
-    # least are not walked: their block ranks after node's, or lies on a
-    # smaller set.  Not tried, and False, when the sets to walk may
-    # outnumber allowance.
+    # block is zero off the basis ``_pivot_set`` extends them to;
+    # ``_sampled_block`` clears it from base to rank it against node's.
+    # Sets of s whose least is above least are not walked: their block
+    # ranks after node's, or lies on a smaller set.  Not tried, and False,
+    # when the sets to walk may outnumber allowance.
     support = search.support
     vectors = list(search.coords.values())
     n = len(vectors)
@@ -788,60 +814,42 @@ def _proven_first(
     if not target:
         return not s
     least = held[0]
+    # The set walked, as support positions, its echelon rows, the target
+    # reduced by each prefix of them, and the next position to try.
     chosen: list[int] = []
-    rows: list[tuple[int, dict[int, int]]] = []
-
-    def reduced(p: int) -> dict[int, int]:
-        vec = dict(vectors[p])
-        for col, row in rows:
-            if col in vec:
-                _eliminate(vec, row, col)
-        return vec
-
-    def stays_first() -> bool:
-        # Whether no block zero off a basis extending chosen ranks before
-        # node's.
-        kept = set(chosen)
-        depth = len(rows)
-        for p in range(n):
-            if p not in kept:
-                vec = reduced(p)
-                if vec:
-                    rows.append((next(iter(vec)), vec))
-                    kept.add(p)
-        del rows[depth:]
-        cols = sum(1 << i for p, i in enumerate(support) if p not in kept)
-        return not _ranks_before(_key(_sampled_block(base, search, cols)), node.key)
-
-    def walk(first: int, rest: dict[int, int]) -> bool:
-        # False when an extension of chosen from position first on spans
-        # the target with a block ranking before node's.
+    rows: Echelon = []
+    rests = [target]
+    p = 0
+    while True:
         size = len(chosen) + 1
-        for p in range(first, n):
-            if size == s and (chosen[0] if chosen else p) > least:
-                break
-            vec = reduced(p)
-            if not vec:
-                continue
+        first = chosen[0] if chosen else p
+        if p == n or (size == s and first > least):
+            # Every extension of chosen is walked: drop its last position.
+            if not chosen:
+                return True
+            p = chosen.pop() + 1
+            rows.pop()
+            rests.pop()
+            continue
+        vec = _reduced(vectors[p], rows)
+        if vec:
             col = next(iter(vec))
-            left = dict(rest)
+            left = dict(rests[-1])
             if col in left:
                 _eliminate(left, vec, col)
-            chosen.append(p)
-            rows.append((col, vec))
             if not left:
-                ok = size == s and chosen[0] == least and (
-                    chosen == held or stays_first()
-                )
-            else:
-                ok = size == s or walk(p + 1, left)
-            rows.pop()
-            chosen.pop()
-            if not ok:
-                return False
-        return True
-
-    return walk(0, target)
+                if size < s or first != least:
+                    return False
+                if chosen + [p] != held:
+                    order = (support[q] for q in (*chosen, p, *range(n)))
+                    block = _sampled_block(base, search, _pivot_set(search, order))
+                    if _ranks_before(_key(block), node.key):
+                        return False
+            elif size < s:
+                chosen.append(p)
+                rows.append((col, vec))
+                rests.append(left)
+        p += 1
 
 
 def _sample_bases(
@@ -860,46 +868,32 @@ def _sample_bases(
     # polished by descent.  Samples representations far apart in move
     # distance, which the local walk cannot reach.  The k-th shuffle's pivot
     # set is known[k] once any search of the block has reached it; a new one
-    # comes from an echelon pass over all relations and is appended.  The
-    # cleared block depends only on the pivot columns, so each pivot set
-    # met is cleared once, from base (zero on every dependent commutator),
-    # and mapped to its cleared node and the length of its descent chain,
-    # when that descent ended before the budget ran out.  A repeated pivot
-    # set whose chain fits in the budget left only advances the meter: its
-    # candidate was compared with a best that has only improved since.  One
-    # that does not fit descends again, and is cut short.  A new best
-    # proven rank-first spends the whole share, which ends the search.
+    # comes from ``_pivot_set`` and is appended.  Each pivot set met is
+    # cleared once, from base (zero on every dependent commutator), and met
+    # again descends from its cleared node along the stored steps, metered
+    # alike; its end was compared with a best that has only improved since.
+    # A new best proven rank-first spends the whole share, ending the search.
     best = start
     rels = search.rels
     budget = share * 3 // 5
-    chains: dict[int, tuple[_Node, int]] = {}
+    cleared: dict[int, _Node] = {}
     sample = 0
     while meter[0] < budget:
         meter[0] += 1
         perm = list(search.support)
         rng.shuffle(perm)
-        pivots = None
         if sample < len(known):
             cols = known[sample]
         else:
-            pivots = _echelon([dict(r) for r, _, _ in rels], reversed(perm))
-            cols = sum(1 << i for i in pivots)
+            cols = _pivot_set(search, perm)
             with _LEARNING:
                 if len(known) == sample:  # no other thread learned it first
                     known.append(cols)
         sample += 1
-        chain = chains.get(cols)
-        if chain is None:
-            node = _node(table, _sampled_block(base, search, cols, pivots))
-        elif meter[0] + chain[1] <= budget:
-            meter[0] += chain[1]
-            continue
-        else:
-            node = chain[0]
-        before = meter[0]
+        node = cleared.get(cols)
+        if node is None:
+            node = cleared[cols] = _node(table, _sampled_block(base, search, cols))
         cand = _descend(node, rels, meter, budget, table)
-        if meter[0] < budget:
-            chains[cols] = node, meter[0] - before
         if _ranks_before(cand.key, best.key):
             best = cand
             if _proven_first(best, base, search, share - meter[0]):
@@ -986,18 +980,18 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     sharing too few terms with its block, and builds only moves that can
     rank first.  Each block's search keeps a table of the blocks it meets,
     one node per distinct value with its descent step and the moves sized
-    from it, and drops the table
-    when the block is done: a descent that reaches a node stepped from
-    before follows the stored steps, metered as if taken again.  The k-th
-    sampled basis of a block is the same in every search, so its pivot set
-    is learned once per process, by an echelon pass over all the block's
-    relations, and kept as one int per sample index reached; no echelon
-    rows outlive a block's search.  Each pivot set a search meets is
-    cleared and descended from once, from the basis rewrite with only the
-    relations whose dependent commutator it leaves free (with the echelon
-    rows just taken when the sample index is new to the process); a
-    repeated one advances the meter by its chain's length.  What the
-    process has learned changes no result, meter or random draw.
+    from it, and unlinks and drops the table when the block is done: a
+    descent that reaches a node stepped from before follows the stored
+    steps, metered as if taken again.  Every basis the search picks, the
+    seed's, a sampled one or one in the proof, is the lex-first
+    independent subset of the commutators' coordinates in some order; by
+    matroid duality the commutators it leaves out, its pivot set, are
+    those an echelon pass over the relations takes in the reverse order.
+    The k-th sampled basis of a block is the same in every search, so its
+    pivot set is learned once per process, as one int.  Every pivot set is
+    cleared one way, from the basis rewrite with only the relations whose
+    dependent commutator it leaves free; a search clears each sampled one
+    once.  What the process has learned changes no result, meter or draw.
     Deterministic for fixed inputs; exact; claims no optimality beyond the
     blocks it proves.  A negative budget is refused.
     """
@@ -1042,12 +1036,9 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
         heavy = sorted(search.support, key=lambda i: abs(nums.get(i, 0)))
         seeds = [
             _cleared(start, pivots)
-            for pivots in (
-                {max(r): r for r, _, _ in rels},
-                *search.rules,
-                _echelon([dict(r) for r, _, _ in rels], reversed(heavy)),
-            )
+            for pivots in ({max(r): r for r, _, _ in rels}, *search.rules)
         ]
+        seeds.append(_sampled_block(seeds[0], search, _pivot_set(search, heavy)))
         for seed in seeds:
             cand = _node(table, seed)
             if _ranks_before(cand.key, best.key):
@@ -1063,12 +1054,12 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
                 meter, share, rng, table,
             )
             best = _anneal(best, seeds[0], search, meter, share, rng, table)
-            # Steps and moves link nodes in cycles (a move and its reverse),
-            # so unlink them to free the table now, not at the next full
-            # collection.
-            for node in table.values():
-                node.step = None
-                node.moves.clear()
+        # Steps and moves link nodes in cycles (a move and its reverse, a
+        # node's own step until it is computed), so unlink them to free the
+        # table now, not at the next full collection.
+        for node in table.values():
+            node.step = None
+            node.moves.clear()
         nums, den = best.block
         out.update((comms[i], Fraction(v, den)) for i, v in nums.items())
     return LieExpr._from_clean(out)
