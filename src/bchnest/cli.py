@@ -43,7 +43,7 @@ from bchnest.terms import AssocPoly, Leaves, LieExpr, Word, accumulate, expand_l
 GRADE_CAP = 10
 GENERATORS = "XYZWVUTSRQ"
 FORMATS = ("text", "json", "latex")
-TABLE_ROWS = ("dim", "none", "grade4", "grade6", "compact", "symmetric")
+TABLE_ROWS = tuple(REFERENCE_COUNTS)
 
 
 class VerificationError(Exception):

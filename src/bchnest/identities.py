@@ -14,13 +14,18 @@ All row reduction is fraction-free: ``_eliminate`` clears one column of an
 integer row.  ``_echelon`` takes the pivot rows of a forward pass, which is
 all the search's sampled bases need, and ``_pivot_rows`` back-substitutes
 them into the fully reduced pivot rows behind the reduced form and the
-rules.  Fractions appear only at the edges, in expansions, identities,
-rules and results.
+rules; ``_cleared`` reduces one row or block by given pivot rows.
+Fractions appear only at the edges, in expansions, identities, rules and
+results.
 
 Rewrite machinery re-expresses series terms over a basis, either with the
-full grade-m identity set or with the fixed grade-4/grade-6 tail rules whose
-ad-prefixed lifts reproduce the published reduced rows, and a budgeted
+full grade-m identity set or under a tail regime, and a budgeted
 deterministic search looks for representations with fewer nonzero terms.
+The grade-4 and grade-6 tail regimes rewrite away every commutator that
+ends in one of the regime's tails, using the ad-prefix lifts of the
+grade-4 or grade-6 identities: the rules are those lifts' fully reduced
+pivot rows on the ruled commutators, which reproduce the published
+reduced rows.
 The search runs on integers: each block of the input is converted once to
 integer numerators over one denominator in lowest terms, each identity is a
 primitive integer vector, and seeds and moves are built by integer
@@ -195,17 +200,15 @@ def identities_and_basis(m: int) -> IdentityReport:
         # A row holds c's word expansion plus c itself under the tag (2,) + c,
         # which sorts after every word; a row left with tags only is an
         # identity, its terms in the order elimination added them.
-        pivots: list[tuple[Word, dict[Leaves, int]]] = []
+        pivots: dict[Word, dict[Word, int]] = {}
         for c in blocks[key]:
             row, den = _to_int(expand_nested(c).terms)
             tag = (2,) + c
             row[tag] = den
-            for lead, prow in pivots:
-                if lead in row:
-                    _eliminate(row, prow, lead)
+            row, _ = _cleared((row, 0), pivots)
             lead = min(row)
             if lead[0] != 2:
-                pivots.append((lead, row))
+                pivots[lead] = row
                 basis.append(c)
             else:
                 # Normalized to coefficient 1 on c itself; the rest is
@@ -244,17 +247,13 @@ Relation = tuple[dict[int, int], int, int]
 # index it clears, the size change and the index of the distinct move.
 Move = tuple[int, int, int]
 
-# Forward echelon rows on commutator indices, each with the column it
-# clears, in the order taken; no row holds the column of a row before it.
-Echelon = list[tuple[int, dict[int, int]]]
-
 
 class _SearchBlock(NamedTuple):
     """One X-count block of a grade as its searches see it.
 
     Its commutators in lex order and each one's index there, its identities
     as relations in the report's order, the grade-4 and grade-6 tail rules
-    as integer rows c - rhs by index, the indices the relations touch in
+    as their integer pivot rows by index, the indices the relations touch in
     order, and the bitmask of their dependent commutators.  A relation's
     dependent commutator is its greatest index, the top bit of its support.
     coords holds each touched index's coordinates over the touched basis
@@ -413,9 +412,14 @@ def relation_rules(relations: Iterable[LieExpr]) -> Rules:
     """
     rows = [_primitive(r.terms) for r in relations if r.terms]
     order = sorted({l for r in rows for l in r}, reverse=True)
+    return _as_rules(_pivot_rows(rows, order))
+
+
+def _as_rules(pivots: dict[Leaves, dict[Leaves, int]]) -> Rules:
+    # Each fully reduced pivot row as the rule pivot -> rest.
     return {
         col: {l: Fraction(-v, prow[col]) for l, v in prow.items() if l != col}
-        for col, prow in _pivot_rows(rows, order).items()
+        for col, prow in pivots.items()
     }
 
 
@@ -455,80 +459,49 @@ def rewrite_in_basis(expr: LieExpr, report: IdentityReport) -> LieExpr:
     return apply_rules(expr, _report_rules(report.grade))
 
 
-# Tail rewrite rules behind the grade-4 / grade-6 reduction regimes.  Each
-# entry maps a trailing leaf pattern to an equivalent combination of same
-# grade tails; ad-prefixing by arbitrary leaves lifts them to any grade.
-# The grade-4 rule is the unique grade-4 identity; the grade-6 rules are the
-# three grade-6 identities that are not lifts of it, oriented (solved for
-# the tail on the left) the way that reproduces the published reduced rows.
-# The tests prove each rule at its own grade; they are not re-proved at run time.
-_TAIL_RULES_4: dict[Leaves, tuple[tuple[Leaves, Fraction], ...]] = {
-    (1, 0, 0, 1): (((0, 1, 0, 1), ONE),),
-}
-_TAIL_RULES_6: dict[Leaves, tuple[tuple[Leaves, Fraction], ...]] = {
-    (0, 0, 0, 1, 0, 1): (
-        ((0, 1, 0, 0, 0, 1), Fraction(2)),
-        ((1, 0, 0, 0, 0, 1), Fraction(-1)),
-    ),
-    (0, 0, 1, 1, 0, 1): (
-        ((0, 1, 0, 1, 0, 1), Fraction(3)),
-        ((1, 0, 0, 1, 0, 1), Fraction(-3)),
-        ((1, 1, 0, 0, 0, 1), Fraction(1)),
-    ),
-    (1, 0, 1, 1, 0, 1): (
-        ((1, 1, 0, 1, 0, 1), Fraction(1, 2)),
-        ((0, 1, 1, 1, 0, 1), Fraction(1, 2)),
-    ),
+# The tails each tail regime rewrites away, by regime grade: the
+# lex-greatest term of the one grade-4 identity, and for grade 6 as many
+# more as there are grade-6 identities that are not lifts of it, chosen so
+# that the rules reproduce the published reduced rows.
+_RULED_TAILS: dict[int, tuple[Leaves, ...]] = {
+    4: ((1, 0, 0, 1),),
+    6: ((1, 0, 0, 1), (0, 0, 0, 1, 0, 1), (0, 0, 1, 1, 0, 1), (1, 0, 1, 1, 0, 1)),
 }
 
 
-def _cascade_tail(
-    leaves: Leaves, tables: tuple[dict, ...]
-) -> dict[Leaves, Fraction] | None:
-    """Fully rewrite one commutator through the tail rules; None if stable.
-
-    A rewrite can enable exactly one follow-up (the grade-4 rule may create
-    a grade-6 tail), so the worklist stays tiny.
-    """
-    replaced = False
-    out: dict[Leaves, Fraction] = {}
-    stack = [(leaves, ONE)]
-    while stack:
-        t, c = stack.pop()
-        rhs = None
-        for table in tables:
-            for tail, rule in table.items():
-                if len(t) >= len(tail) and t[-len(tail):] == tail:
-                    rhs = [(t[: -len(tail)] + s, mult) for s, mult in rule]
-                    break
-            if rhs is not None:
-                break
-        if rhs is None:
-            accumulate(out, ((t, c),))
-        else:
-            replaced = True
-            stack.extend((t2, c * mult) for t2, mult in rhs)
-    return out if replaced else None
+@lru_cache(maxsize=None)
+def _tail_rows(m: int, regime_grade: int) -> dict[Leaves, dict[Leaves, int]]:
+    # The tail regime's rules at grade m as integer rows, by ruled
+    # commutator: the fully reduced pivot rows, on the commutators with a
+    # ruled tail, of the ad-prefix lifts of the grade-g identities, g the
+    # regime grade or 4 below it.  The lifts are as many as the ruled
+    # commutators, each of which is a pivot, and a reduced echelon form
+    # with a given pivot set is unique.
+    tails = _RULED_TAILS.get(regime_grade)
+    if tails is None:
+        raise ValueError(f"regime grade must be 4 or 6, got {regime_grade}")
+    ruled = [c for c in enumerate_nested(m) if any(c[-len(t):] == t for t in tails)]
+    g = regime_grade if m >= regime_grade else 4
+    rows = [
+        {prefix + l: v for l, v in _primitive(ident.terms).items()}
+        for ident in (identities_and_basis(g).identities if m >= g else ())
+        for prefix in product((0, 1), repeat=m - g)
+    ]
+    return _pivot_rows(rows, ruled)
 
 
 @lru_cache(maxsize=None)
 def lifted_rules(m: int, regime_grade: int) -> Rules:
-    """Substitution rules for grade m from the grade-4 / grade-6 tail rules.
+    """Substitution rules for grade m under the grade-4 or grade-6 tail regime.
 
-    Every grade-m commutator whose tail matches a rule is mapped to its
-    fully cascaded replacement, so one ``apply_rules`` pass reproduces the
-    fixpoint of repeated tail rewriting.  regime_grade is 4 or 6; at m below
-    the regime grade the higher rules simply never match.
+    Every grade-m commutator that ends in one of the regime's tails is
+    ruled: it is rewritten onto commutators with no such tail, using the
+    ad-prefix lifts of the grade-4 or grade-6 identities, so one
+    ``apply_rules`` pass rewrites them all away.  regime_grade is 4 or 6;
+    below grade 6 the grade-6 regime is the grade-4 one, and below grade 4
+    there are no rules.  A grade below 2 is refused.
     """
-    if regime_grade not in (4, 6):
-        raise ValueError(f"regime grade must be 4 or 6, got {regime_grade}")
-    tables = (_TAIL_RULES_4,) if regime_grade == 4 else (_TAIL_RULES_4, _TAIL_RULES_6)
-    rules: Rules = {}
-    for comm in enumerate_nested(m):
-        rhs = _cascade_tail(comm, tables)
-        if rhs is not None:
-            rules[comm] = rhs
-    return rules
+    return _as_rules(_tail_rows(m, regime_grade))
 
 
 @lru_cache(maxsize=None)
@@ -669,29 +642,19 @@ def _descend(
     return node
 
 
-def _cleared(start: Block, pivots: dict[int, dict[int, int]]) -> Block:
-    # start with every pivot column cleared, pivot rows applied in order.
-    # Echelon rows in the order taken hold no earlier pivot's column, so a
-    # cleared column stays clear: the result is zero on every pivot column,
-    # the one such block, as with the fully reduced rows.
+def _cleared(
+    start: tuple[dict[K, int], int], pivots: dict[K, dict[K, int]]
+) -> tuple[dict[K, int], int]:
+    # A copy of start with every pivot column cleared, pivot rows applied
+    # in order; start is a block, or a relation with den 0, which stays
+    # primitive.  Echelon rows in the order taken hold no earlier pivot's
+    # column, so a cleared column stays clear: the result is zero on every
+    # pivot column, the one such block, as with the fully reduced rows.
     nums, den = dict(start[0]), start[1]
     for col, prow in pivots.items():
         if col in nums:
             den = _eliminate(nums, prow, col, den)
     return nums, den
-
-
-def _rule_rows(rules: Rules, index: dict[Leaves, int]) -> dict[int, dict[int, int]]:
-    # The rules on the indexed commutators as integer rows c - rhs, by c.
-    # No right-hand side holds a ruled commutator, so clearing a block with
-    # these rows applies the rules.
-    rows: dict[int, dict[int, int]] = {}
-    for c, rhs in rules.items():
-        if c in index:
-            nums, den = _to_int(rhs)
-            i = index[c]
-            rows[i] = {i: den, **{index[l2]: -v for l2, v in nums.items()}}
-    return rows
 
 
 @lru_cache(maxsize=None)
@@ -708,7 +671,14 @@ def _search_blocks(m: int) -> dict[int, _SearchBlock]:
         index = {c: i for i, c in enumerate(comms[key])}
         rows = [{index[c]: v for c, v in p.items()} for p in block_prims]
         rels = tuple((r, sum(1 << i for i in r), min(r)) for r in rows)
-        rules = tuple(_rule_rows(lifted_rules(m, g), index) for g in (4, 6))
+        rules = tuple(
+            {
+                index[c]: {index[l]: v for l, v in row.items()}
+                for c, row in _tail_rows(m, g).items()
+                if c in index
+            }
+            for g in (4, 6)
+        )
         support = tuple(sorted({i for r in rows for i in r}))
         solved = {max(r): r for r in rows}
         dependents = sum(1 << d for d in solved)
@@ -740,15 +710,6 @@ def _sampled_pivots(m: int, key: int) -> list[int]:
     return []
 
 
-def _reduced(vec: dict[int, int], rows: Echelon) -> dict[int, int]:
-    # A copy of vec with each row's column cleared, rows in order.
-    vec = dict(vec)
-    for col, row in rows:
-        if col in vec:
-            _eliminate(vec, row, col)
-    return vec
-
-
 def _pivot_set(search: _SearchBlock, order: Iterable[int]) -> int:
     # The support indices left out of the lex-first independent subset of
     # search.coords in order, as a bitmask: those off the basis the search
@@ -756,14 +717,14 @@ def _pivot_set(search: _SearchBlock, order: Iterable[int]) -> int:
     # echelon pass over the block's relations takes in the reverse order.
     # An index repeated in order is dependent the second time.
     rank = len(search.support) - len(search.rels)
-    rows: Echelon = []
+    rows: dict[int, dict[int, int]] = {}
     cols = sum(1 << i for i in search.support)
     for i in order:
         if len(rows) == rank:
             break
-        vec = _reduced(search.coords[i], rows)
+        vec, _ = _cleared((search.coords[i], 0), rows)
         if vec:
-            rows.append((next(iter(vec)), vec))
+            rows[next(iter(vec))] = vec
             cols ^= 1 << i
     return cols
 
@@ -817,7 +778,7 @@ def _proven_first(
     # The set walked, as support positions, its echelon rows, the target
     # reduced by each prefix of them, and the next position to try.
     chosen: list[int] = []
-    rows: Echelon = []
+    rows: dict[int, dict[int, int]] = {}
     rests = [target]
     p = 0
     while True:
@@ -828,15 +789,13 @@ def _proven_first(
             if not chosen:
                 return True
             p = chosen.pop() + 1
-            rows.pop()
+            rows.popitem()
             rests.pop()
             continue
-        vec = _reduced(vectors[p], rows)
+        vec, _ = _cleared((vectors[p], 0), rows)
         if vec:
             col = next(iter(vec))
-            left = dict(rests[-1])
-            if col in left:
-                _eliminate(left, vec, col)
+            left, _ = _cleared((rests[-1], 0), {col: vec})
             if not left:
                 if size < s or first != least:
                     return False
@@ -847,7 +806,7 @@ def _proven_first(
                         return False
             elif size < s:
                 chosen.append(p)
-                rows.append((col, vec))
+                rows[col] = vec
                 rests.append(left)
         p += 1
 

@@ -280,7 +280,7 @@ def test_relation_rules_order_independent():
 
 
 def test_lifted_rules_are_identities():
-    for m, regime in ((4, 4), (5, 4), (6, 6), (7, 6)):
+    for m, regime in product(range(4, 11), (4, 6)):
         for lhs, rhs in lifted_rules(m, regime).items():
             diff = expand_nested(lhs)
             for l2, c in rhs.items():
@@ -296,6 +296,26 @@ def test_lifted_rules_regime_scope():
     assert lifted_rules(4, 4) == {(1, 0, 0, 1): {(0, 1, 0, 1): F(1)}}
     with pytest.raises(ValueError):
         lifted_rules(5, 5)
+    with pytest.raises(ValueError):
+        lifted_rules(1, 4)
+
+
+# sha256 of lifted_rules(m, g) for m = 2..12 and g in {4, 6}, rules and
+# right-hand sides sorted, coefficients as str; frozen from the fixed
+# grade-4/grade-6 rule tables cascaded by tail matching.
+TAIL_RULES_PIN = "196b5cb3433fd7df59a93122b8861b5746f3cf9b71b12ed0c4e0b10e3c49f8d4"
+
+
+def test_lifted_rules_pin():
+    doc = [
+        (m, g, [
+            (lhs, [(l, str(c)) for l, c in sorted(rhs.items())])
+            for lhs, rhs in sorted(lifted_rules(m, g).items())
+        ])
+        for m in range(2, 13)
+        for g in (4, 6)
+    ]
+    assert hashlib.sha256(repr(doc).encode()).hexdigest() == TAIL_RULES_PIN
 
 
 def test_rewrites_preserve_element_and_land_in_basis():
@@ -814,16 +834,16 @@ def test_step_matches_the_full_ranking():
 
 
 def test_compact_search_leaves_the_cached_tables_unchanged():
-    # Searches share each grade's relations and rule rows; none may change
-    # them, whether the default budget runs out or a small one does.
+    # Searches share each grade's relations and tail-rule rows; none may
+    # change them, whether the default budget runs out or a small one does.
     compact_reduce(bch_term(8, 2), 8)
     before = copy.deepcopy(identities._search_blocks(8))
-    rules = [copy.deepcopy(lifted_rules(8, g)) for g in (4, 6)]
+    rows = [copy.deepcopy(identities._tail_rows(8, g)) for g in (4, 6)]
     compact_reduce(bch_term(8, 2), 8)
     for m, expr in _seeded_exprs(2008, 3, (8,)):
         compact_reduce(expr, m, 1000)
     assert identities._search_blocks(8) == before
-    assert [lifted_rules(8, g) for g in (4, 6)] == rules
+    assert [identities._tail_rows(8, g) for g in (4, 6)] == rows
 
 
 def test_compact_search_clears_each_pivot_set_once(monkeypatch):
