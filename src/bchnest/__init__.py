@@ -18,7 +18,6 @@ from bchnest.identities import (
     apply_regime,
     apply_rules,
     compact_bch_term,
-    compact_reduce,
     enumerate_nested,
     full_reduce,
     gauss_jordan,
@@ -30,6 +29,7 @@ from bchnest.identities import (
     series_term,
     table_counts,
 )
+from bchnest.search import compact_reduce
 from bchnest.series import (
     ad_power,
     bch_term,

@@ -16,13 +16,15 @@ table only when it prints a row that counts series terms, bch and symbch
 the word expansion of every printed grade, table its dim row against
 Witt's formula; identities checks its basis size and novel count against
 Witt's formula and that every printed identity expands to zero),
-3 the --output file cannot be written.
+3 the --output file or stdout cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Callable
@@ -205,15 +207,23 @@ def _witt_novel(m: int) -> int:
 
 def _emit(text: str, path: str | None) -> int:
     """Write the document to stdout or path; returns the exit code."""
-    if path is None:
-        sys.stdout.write(text)
-        return 0
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
+        if path is None:
+            # The text is still buffered, and flushing it again at exit
+            # would fail once more: send it to the null device instead.
+            with open(os.devnull, "wb") as null:
+                with contextlib.suppress(OSError, ValueError):
+                    os.dup2(null.fileno(), sys.stdout.fileno())
         reason = exc.strerror or exc
-        print(f"bchnest: error: cannot write {path}: {reason}", file=sys.stderr)
+        target = "stdout" if path is None else path
+        print(f"bchnest: error: cannot write {target}: {reason}", file=sys.stderr)
         return 3
     return 0
 

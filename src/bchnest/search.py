@@ -1,0 +1,609 @@
+"""The budgeted compaction search: representations with fewer nonzero terms.
+
+``compact_reduce`` looks for a representation of a homogeneous grade-m
+element with fewer terms than its input, moving only along the grade's
+identities, so it is exact and changes no element.  Identities never mix
+letter multidegrees, so each X-count block is searched on its own.  The
+search runs on integers: each block of the input is converted once to
+integer numerators over one denominator in lowest terms, each identity is a
+primitive integer row of ``bchnest.identities._identity_rows``, and seeds
+and moves are built by that module's fraction-free kernel.  Its keys are
+small ints, each commutator's index in its block's lex order, from one
+cached table per grade; results map back to leaf tuples once per block, and
+terms no identity touches, such as three-generator ones, pass through
+unchanged.  Each block's search interns the blocks it meets, one node per
+distinct value keyed by its sorted values, which holds the node's descent
+step and the moves sized from it, so no step, move size or sampled basis's
+descent is computed twice.  One routine, ``_pivot_set``, picks every basis
+the search uses from the commutators' coordinates; by matroid duality it
+leaves out the pivots an echelon pass over the identities takes in the
+reverse order.  The process learns each sampled basis's pivot set once, as
+one int, and every pivot set is cleared one way, from the basis rewrite
+with the identities the set leaves free.  A block's search stops once its
+best is proven to rank first among the block's representations of the
+same element: an integer walk over the independent sets of at most as many
+commutators as the best has terms, tried only when those sets number no
+more than the meter steps left.  The best is only ever replaced by a block
+that ranks before it, so the stop changes no result.  It stays exact, and
+it is deterministic for fixed inputs.
+"""
+
+from __future__ import annotations
+
+import random
+import threading
+from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from math import comb, gcd
+from typing import Iterable, NamedTuple, Sequence
+
+from bchnest.identities import (
+    _cleared,
+    _echelon,
+    _eliminate,
+    _identity_rows,
+    _tail_rows,
+    _to_int,
+    enumerate_nested,
+)
+from bchnest.terms import Leaves, LieExpr
+
+_COMPACT_BUDGET = 10000
+
+
+# A search block: integer numerators over one positive denominator, in
+# lowest terms, keyed by each commutator's index in its X-count block's lex
+# order, so indices sort as the commutators do.
+Block = tuple[dict[int, int], int]
+
+# A block's values as its (index, numerator) pairs in index order, flattened
+# to one tuple, and its denominator: its node's key in a block search's
+# table, and what ranking compares.
+Key = tuple[tuple[int, ...], int]
+
+# A relation of a block search: a primitive identity on commutator indices,
+# the bitmask of its support and its least index.
+Relation = tuple[dict[int, int], int, int]
+
+# A move of one relation from a block, as ``_relation_moves`` gives it: the
+# index it clears, the size change and the index of the distinct move.
+Move = tuple[int, int, int]
+
+
+class _SearchBlock(NamedTuple):
+    """One X-count block of a grade as its searches see it.
+
+    Its commutators in lex order and each one's index there, its identities
+    as relations in the report's order, the pivot rows by index of the
+    basis rewrite (the identities by dependent commutator) and of the
+    grade-4 and grade-6 tail rules, the indices the relations touch in
+    order, and the bitmask of their dependent commutators.  A relation's
+    dependent commutator is its greatest index, the top bit of its support.
+    coords holds each touched index's coordinates over the touched basis
+    commutators, up to a positive factor, in index order: a basis
+    commutator is a unit vector, a dependent one minus the rest of its
+    relation.
+    """
+
+    comms: tuple[Leaves, ...]
+    index: dict[Leaves, int]
+    rels: tuple[Relation, ...]
+    rules: tuple[dict[int, dict[int, int]], ...]
+    support: tuple[int, ...]
+    dependents: int
+    coords: dict[int, dict[int, int]]
+
+
+class _Node:
+    """One distinct block value met by a block search, and what is known of it.
+
+    key is the block's sorted values, the node's key in its table.  step is
+    the node ``_step`` leads to, None when no move ranks first, and the node
+    itself until it is computed (no step leads back to its own block).
+    moves maps a relation's index to that relation's moves from here and the
+    moved nodes built so far, one slot per distinct move.  The block is
+    shared by every path that reaches the node, so no search code changes a
+    block in place; moves and samples work on copies.
+    """
+
+    __slots__ = ("block", "key", "step", "moves")
+
+    def __init__(self, block: Block, key: Key) -> None:
+        self.block = block
+        self.key = key
+        self.step: _Node | None = self
+        self.moves: dict[int, tuple[list[Move], list[_Node | None]]] = {}
+
+
+# One block search's table of interned blocks, by key.
+Table = dict[Key, _Node]
+
+
+def _key(block: Block) -> Key:
+    return tuple(chain.from_iterable(sorted(block[0].items()))), block[1]
+
+
+def _node(table: Table, block: Block, key: Key | None = None) -> _Node:
+    # The table's node for block's values, made on first meeting them.
+    if key is None:
+        key = _key(block)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = _Node(block, key)
+    return node
+
+def _ranks_before(a: Key, b: Key) -> bool:
+    # Deterministic order on blocks: fewer terms first, ties broken by the
+    # sorted (index, value) list, values compared by cross-multiplying.
+    (an, ad), (bn, bd) = a, b
+    if len(an) != len(bn):
+        return len(an) < len(bn)
+    if ad == bd:
+        return an < bn
+    for i in range(0, len(an), 2):
+        if an[i] != bn[i]:
+            return an[i] < bn[i]
+        va, vb = an[i + 1] * bd, bn[i + 1] * ad
+        if va != vb:
+            return va < vb
+    return False
+
+
+def _relation_moves(nums: dict[int, int], rel: dict[int, int]) -> list[Move]:
+    # The moves t -> t - (t_c / r_c) * r of one relation, one per key c of
+    # rel held in nums, in rel's order: (c, size change, move index).  Keys
+    # with equal ratio t_k / r_k give the same move, which cancels exactly
+    # those keys and adds every key of rel that nums lacks, so one pass over
+    # rel sizes them all.  Move indices count distinct moves in order of
+    # first appearance.
+    added = 0
+    shared: list[tuple[int, list[int]]] = []
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, v in rel.items():
+        t = nums.get(k)
+        if t is None:
+            added += 1
+            continue
+        g = gcd(t, v) if v > 0 else -gcd(t, v)
+        ratio = t // g, v // g
+        group = groups.get(ratio)
+        if group is None:
+            group = groups[ratio] = [len(groups), 0]
+        group[1] += 1
+        shared.append((k, group))
+    return [(k, added - cancelled, index) for k, (index, cancelled) in shared]
+
+
+def _move(block: Block, rel: dict[int, int], col: int) -> Block:
+    nums = dict(block[0])
+    return nums, _eliminate(nums, rel, col, block[1])
+
+
+def _step(node: _Node, rels: Sequence[Relation], table: Table) -> _Node | None:
+    # One steepest-descent step: the node of the single-relation move that
+    # ranks first, or None if none ranks before node's block.  Blocks rank
+    # by size first, so only the distinct moves of the least size count; a
+    # relation is skipped when cancelling every key it shares with the
+    # block still grows it past that size.  Only the candidates left are
+    # built, and the first in rank is the step whatever order they are met
+    # in: a function of the block's values alone, whatever its key order.
+    nums = node.block[0]
+    mask = sum(1 << k for k in nums)
+    least = 0
+    fewest: list[tuple[dict[int, int], int, int]] = []
+    for rel, support, low in rels:
+        if len(rel) - 2 * (mask & support).bit_count() > least:
+            continue
+        seen = 0
+        for col, delta, index in _relation_moves(nums, rel):
+            if index < seen:
+                continue
+            seen += 1
+            if delta < least:
+                least, fewest = delta, [(rel, col, low)]
+            elif delta == least:
+                fewest.append((rel, col, low))
+    if not least:
+        # No move shortens the block.  A move changes exactly its
+        # relation's keys, so it ranks before the block iff at the least of
+        # them, low, it adds a term or leaves t - x / r with 0 < x / r != t,
+        # where t = nums[low], x = nums[col] * rel[low] and r = rel[col].
+        # Such a move also ranks before every such move of a larger low.
+        lowers = []
+        for rel, col, low in fewest:
+            t, x, r = nums.get(low), nums[col] * rel[low], rel[col]
+            if t is None or (x * r > 0 and x != t * r):
+                lowers.append((rel, col, low))
+        lowest = min((low for _, _, low in lowers), default=None)
+        fewest = [move for move in lowers if move[2] == lowest]
+    best: tuple[Block, Key] | None = None
+    for rel, col, _ in fewest:
+        move = _move(node.block, rel, col)
+        key = _key(move)
+        if best is None or _ranks_before(key, best[1]):
+            best = move, key
+    return None if best is None else _node(table, *best)
+
+
+def _descend(
+    node: _Node,
+    rels: Sequence[Relation],
+    meter: list[int],
+    budget: int,
+    table: Table,
+) -> _Node:
+    # Steepest descent: ``_step`` until no move ranks first or the budget
+    # runs out.  Each node's step is computed once per search and followed
+    # after that, so a descent that reaches a node already descended from
+    # follows the stored chain.  The meter counts adopted steps, followed or
+    # computed, so a descent cut short stops at the same block either way.
+    while meter[0] < budget:
+        nxt = node.step
+        if nxt is node:
+            nxt = node.step = _step(node, rels, table)
+        if nxt is None:
+            break
+        meter[0] += 1
+        node = nxt
+    return node
+
+
+@lru_cache(maxsize=None)
+def _search_blocks(m: int) -> dict[int, _SearchBlock]:
+    # The X-count blocks of grade m that hold an identity, by X-count.
+    comms: dict[int, list[Leaves]] = {}
+    for c in enumerate_nested(m):
+        comms.setdefault(c.count(0), []).append(c)
+    tables = (_identity_rows(m), _tail_rows(m, 4), _tail_rows(m, 6))
+    blocks = {}
+    for key in dict.fromkeys(dep.count(0) for dep in tables[0]):
+        index = {c: i for i, c in enumerate(comms[key])}
+        rules = tuple(
+            {
+                index[c]: {index[l]: v for l, v in row.items()}
+                for c, row in table.items()
+                if c in index
+            }
+            for table in tables
+        )
+        solved = rules[0]
+        rels = tuple((r, sum(1 << i for i in r), min(r)) for r in solved.values())
+        support = tuple(sorted({i for r in solved.values() for i in r}))
+        dependents = sum(1 << d for d in solved)
+        coords = {
+            i: {j: -v for j, v in solved[i].items() if j != i} if i in solved
+            else {i: 1}
+            for i in support
+        }
+        blocks[key] = _SearchBlock(
+            tuple(comms[key]), index, rels, rules, support, dependents, coords
+        )
+    return blocks
+
+
+# Held to append to a list of ``_sampled_pivots``, so that searches of one
+# block in several threads learn each sample index once.
+_LEARNING = threading.Lock()
+
+
+@lru_cache(maxsize=None)
+def _sampled_pivots(m: int, key: int) -> list[int]:
+    # The pivot set of each sampled basis of block key at grade m reached so
+    # far in this process, as a bitmask, by sample index.  Every search of
+    # the block draws the same shuffles from a generator seeded alike, so
+    # the k-th pivot set is the same in all of them; searches append the
+    # ones they reach first.  Threads that first call this at once may each
+    # get a list of their own, of which the cache keeps one: that loses
+    # what the others learn, never a result.
+    return []
+
+
+def _pivot_set(search: _SearchBlock, order: Iterable[int]) -> int:
+    # The support indices left out of the lex-first independent subset of
+    # search.coords in order, as a bitmask: those off the basis the search
+    # picks by order.  By matroid duality they are the pivot columns an
+    # echelon pass over the block's relations takes in the reverse order.
+    # An index repeated in order is dependent the second time.
+    rank = len(search.support) - len(search.rels)
+    rows: dict[int, dict[int, int]] = {}
+    cols = sum(1 << i for i in search.support)
+    for i in order:
+        if len(rows) == rank:
+            break
+        vec, _ = _cleared((search.coords[i], 0), rows)
+        if vec:
+            rows[next(iter(vec))] = vec
+            cols ^= 1 << i
+    return cols
+
+
+def _sampled_block(base: Block, search: _SearchBlock, cols: int) -> Block:
+    # The one block equivalent to base and zero on the pivot set cols.
+    # base must be zero on every dependent commutator: a relation is +1 on
+    # its dependent commutator and otherwise on basis ones, so clearing
+    # cols may use only the relations whose dependent commutator is not in
+    # cols, and those need only clear cols' basis commutators.
+    free = [
+        dict(r) for r, support, _ in search.rels
+        if not cols >> (support.bit_length() - 1) & 1
+    ]
+    basis_cols = cols & ~search.dependents
+    pivots = _echelon(free, (i for i in search.support if basis_cols >> i & 1))
+    return _cleared(base, pivots)
+
+
+def _proven_first(
+    node: _Node, base: Block, search: _SearchBlock, allowance: int
+) -> bool:
+    # True when no block equivalent to node's ranks before it: a search
+    # replaces its best only by a block that ranks before it, so such a
+    # best is final.  Terms off the support are the same in every
+    # equivalent block and change no ranking, so only node's s terms on the
+    # support count, the least of them at support position least.  A block
+    # that ranks before node's lies on at most s commutators, and when they
+    # are dependent a smaller independent set among them spans the target,
+    # base's values on the support, too.  So the proof walks the independent
+    # sets of at most s commutators in increasing order, with forward
+    # echelon rows of their coordinates and the target reduced by them.  It
+    # fails when the target lies in the span of fewer than s, or of s whose
+    # least is below least.  On s whose least is least, the one equivalent
+    # block is zero off the basis ``_pivot_set`` extends them to;
+    # ``_sampled_block`` clears it from base to rank it against node's.
+    # Sets of s whose least is above least are not walked: their block
+    # ranks after node's, or lies on a smaller set.  Not tried, and False,
+    # when the sets to walk may outnumber allowance.
+    support = search.support
+    vectors = list(search.coords.values())
+    n = len(vectors)
+    held = [p for p, i in enumerate(support) if i in node.block[0]]
+    s = len(held)
+    if sum(comb(n, k) for k in range(s + 1)) > allowance:
+        return False
+    target = {i: v for i, v in base[0].items() if i in search.coords}
+    if not target:
+        return not s
+    least = held[0]
+    # The set walked, as support positions, its echelon rows, the target
+    # reduced by each prefix of them, and the next position to try.
+    chosen: list[int] = []
+    rows: dict[int, dict[int, int]] = {}
+    rests = [target]
+    p = 0
+    while True:
+        size = len(chosen) + 1
+        first = chosen[0] if chosen else p
+        if p == n or (size == s and first > least):
+            # Every extension of chosen is walked: drop its last position.
+            if not chosen:
+                return True
+            p = chosen.pop() + 1
+            rows.popitem()
+            rests.pop()
+            continue
+        vec, _ = _cleared((vectors[p], 0), rows)
+        if vec:
+            col = next(iter(vec))
+            left, _ = _cleared((rests[-1], 0), {col: vec})
+            if not left:
+                if size < s or first != least:
+                    return False
+                if chosen + [p] != held:
+                    order = (support[q] for q in (*chosen, p, *range(n)))
+                    block = _sampled_block(base, search, _pivot_set(search, order))
+                    if _ranks_before(_key(block), node.key):
+                        return False
+            elif size < s:
+                chosen.append(p)
+                rows[col] = vec
+                rests.append(left)
+        p += 1
+
+
+def _sample_bases(
+    start: _Node,
+    base: Block,
+    search: _SearchBlock,
+    known: list[int],
+    meter: list[int],
+    share: int,
+    rng: random.Random,
+    table: Table,
+) -> _Node:
+    # Rewrite onto bases drawn at random, until three fifths of the block's
+    # meter share is spent: a shuffle picks which commutators get
+    # eliminated, its last first, and each resulting representation is
+    # polished by descent.  Samples representations far apart in move
+    # distance, which the local walk cannot reach.  The k-th shuffle's pivot
+    # set is known[k] once any search of the block has reached it; a new one
+    # comes from ``_pivot_set`` and is appended.  Each pivot set met is
+    # cleared once, from base (zero on every dependent commutator), and met
+    # again descends from its cleared node along the stored steps, metered
+    # alike; its end was compared with a best that has only improved since.
+    # A new best proven rank-first spends the whole share, ending the search.
+    best = start
+    rels = search.rels
+    budget = share * 3 // 5
+    cleared: dict[int, _Node] = {}
+    sample = 0
+    while meter[0] < budget:
+        meter[0] += 1
+        perm = list(search.support)
+        rng.shuffle(perm)
+        if sample < len(known):
+            cols = known[sample]
+        else:
+            cols = _pivot_set(search, perm)
+            with _LEARNING:
+                if len(known) == sample:  # no other thread learned it first
+                    known.append(cols)
+        sample += 1
+        node = cleared.get(cols)
+        if node is None:
+            node = cleared[cols] = _node(table, _sampled_block(base, search, cols))
+        cand = _descend(node, rels, meter, budget, table)
+        if _ranks_before(cand.key, best.key):
+            best = cand
+            if _proven_first(best, base, search, share - meter[0]):
+                meter[0] = share
+    return best
+
+
+def _anneal(
+    start: _Node,
+    base: Block,
+    search: _SearchBlock,
+    meter: list[int],
+    share: int,
+    rng: random.Random,
+    table: Table,
+) -> _Node:
+    # Random walk that tolerates slightly larger intermediates, polishing
+    # with descent whenever it ties the best and restarting from the best
+    # whenever it drifts too long without improving on it, until the
+    # block's meter share is spent.  A node's moves are sized once per
+    # relation drawn there; a move is built only when the walk first takes
+    # it.  A new best proven rank-first spends the rest of the share.
+    rels = search.rels
+    best = _descend(start, rels, meter, share, table)
+    if best is not start and _proven_first(best, base, search, share - meter[0]):
+        meter[0] = share
+    current = best
+    drift = 0
+    while meter[0] < share:
+        meter[0] += 1
+        i = rng.randrange(len(rels))
+        entry = current.moves.get(i)
+        if entry is None:
+            moves = _relation_moves(current.block[0], rels[i][0])
+            entry = current.moves[i] = moves, [None] * len(moves)
+        moves, built = entry
+        if moves:
+            col, delta, index = moves[rng.randrange(len(moves))]
+            if delta <= 0 or (delta == 1 and rng.random() < 0.35) or (
+                delta == 2 and rng.random() < 0.05
+            ):
+                nxt = built[index]
+                if nxt is None:
+                    nxt = built[index] = _node(
+                        table, _move(current.block, rels[i][0], col)
+                    )
+                current = nxt
+                if len(current.block[0]) <= len(best.block[0]):
+                    settled = _descend(current, rels, meter, share, table)
+                    if settled is not best and _ranks_before(settled.key, best.key):
+                        best = current = settled
+                        drift = 0
+                        if _proven_first(best, base, search, share - meter[0]):
+                            meter[0] = share
+        drift += 1
+        if drift > 300:
+            current = best
+            drift = 0
+    return best
+
+
+def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieExpr:
+    """Budgeted search for a same-element representation with fewer terms.
+
+    Identities never mix letter multidegrees, so the search space splits
+    into independent blocks by X-count.  Each input block is converted once
+    to integer numerators over one denominator, keyed by commutator index,
+    and seeds the search with the best of itself and its rewrites (the basis
+    rewrite, both tail-rule regimes, and a largest-coefficient-first
+    elimination), each the block with that rewrite's pivots cleared.
+    Steepest-descent single-relation moves follow, then a seeded random walk
+    that may pass through slightly larger representations; the best block is
+    replaced only by one that ranks before it, so no result block is longer
+    than the input's or any seed's, at any budget; terms no identity
+    touches are kept as they are.  A block's search ends as soon as its
+    best, a seed or a later one, is proven to rank first among the block's
+    representations of the element, so an empty best seed is not searched:
+    the proof walks the independent sets of at most as many commutators as
+    the best has terms, on integer coordinates over the block's basis, and
+    is tried only when there are no more such sets than meter steps left.
+    Since the best is replaced only by a block that ranks before it, the
+    stop changes no result.  All moves of one relation are sized in one
+    pass, by the terms they would cancel; a descent step skips a relation
+    sharing too few terms with its block, and builds only moves that can
+    rank first.  Each block's search keeps a table of the blocks it meets,
+    one node per distinct value with its descent step and the moves sized
+    from it, and unlinks and drops the table when the block is done: a
+    descent that reaches a node stepped from before follows the stored
+    steps, metered as if taken again.  Every basis the search picks, the
+    seed's, a sampled one or one in the proof, is the lex-first
+    independent subset of the commutators' coordinates in some order; by
+    matroid duality the commutators it leaves out, its pivot set, are
+    those an echelon pass over the relations takes in the reverse order.
+    The k-th sampled basis of a block is the same in every search, so its
+    pivot set is learned once per process, as one int.  Every pivot set is
+    cleared one way, from the basis rewrite with only the relations whose
+    dependent commutator it leaves free; a search clears each sampled one
+    once.  What the process has learned changes no result, meter or draw.
+    Deterministic for fixed inputs; exact; claims no optimality beyond the
+    blocks it proves.  A negative budget is refused.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    if not expr:
+        return expr
+    if expr.grade() != m:
+        raise ValueError(f"expression grade {expr.grade()} != {m}")
+    if m < 2:
+        return expr
+    blocks = _search_blocks(m)
+    if not blocks:
+        return expr
+
+    parts: dict[int, dict[Leaves, Fraction]] = {}
+    for leaves, c in expr.terms.items():
+        parts.setdefault(leaves.count(0), {})[leaves] = c
+
+    out: dict[Leaves, Fraction] = {}
+    total_rels = sum(len(blocks[k].rels) for k in parts if k in blocks)
+    for key in sorted(parts):
+        if key not in blocks:
+            out.update(parts[key])
+            continue
+        search = blocks[key]
+        comms, index, rels = search.comms, search.index, search.rels
+        terms: dict[int, Fraction] = {}
+        for leaves, c in parts[key].items():
+            if leaves in index:
+                terms[index[leaves]] = c
+            else:
+                out[leaves] = c  # no identity touches it
+        start = _to_int(terms)
+        # Each seed is the one block equivalent to start and zero on a
+        # rewrite's pivots, so it equals that rewrite's block.  The first,
+        # the basis rewrite, is zero on every dependent commutator.
+        table: Table = {}
+        best = _node(table, start)
+        nums = start[0]
+        heavy = sorted(search.support, key=lambda i: abs(nums.get(i, 0)))
+        seeds = [_cleared(start, pivots) for pivots in search.rules]
+        seeds.append(_sampled_block(seeds[0], search, _pivot_set(search, heavy)))
+        for seed in seeds:
+            cand = _node(table, seed)
+            if _ranks_before(cand.key, best.key):
+                best = cand
+        # Each block has its own meter share and generator, and a best
+        # seed proven rank-first, an empty one included, is not searched.
+        share = max(1, budget * len(rels) // max(1, total_rels))
+        if not _proven_first(best, seeds[0], search, share):
+            meter = [0]
+            rng = random.Random(m * 1009 + key)
+            best = _sample_bases(
+                best, seeds[0], search, _sampled_pivots(m, key),
+                meter, share, rng, table,
+            )
+            best = _anneal(best, seeds[0], search, meter, share, rng, table)
+        # Steps and moves link nodes in cycles (a move and its reverse, a
+        # node's own step until it is computed), so unlink them to free the
+        # table now, not at the next full collection.
+        for node in table.values():
+            node.step = None
+            node.moves.clear()
+        nums, den = best.block
+        out.update((comms[i], Fraction(v, den)) for i, v in nums.items())
+    return LieExpr._from_clean(out)

@@ -218,6 +218,16 @@ def test_criterion_10_compact_row():
         for m in range(2, 11)
     )
     required = required and all(exact)
+    # Swapping X and Y maps Phi_m to (-1)^(m+1) Phi_m and the terms with j
+    # X's to terms with m-j X's, so both blocks have the same fewest-term
+    # count; the search finds equal counts in every such pair.
+    xs = [[leaves.count(0) for leaves in compact_bch_term(m).terms] for m in range(2, 11)]
+    mirrored = all(
+        counts.count(j) == counts.count(m - j)
+        for m, counts in enumerate(xs, start=2)
+        for j in range(m + 1)
+    )
+    required = required and mirrored
     matches = sum(1 for c, p in zip(row, published) if c == p)
     beats = sum(1 for c, p in zip(row, published) if c < p)
     note = (
@@ -225,8 +235,8 @@ def test_criterion_10_compact_row():
     )
     assert _report(
         10,
-        "compact search stays within the grade-6 row and preserves every "
-        "element, m = 2..10",
+        "compact search stays within the grade-6 row, preserves every "
+        "element and is X<->Y mirror-symmetric in its counts, m = 2..10",
         required,
         note,
     )

@@ -1,7 +1,12 @@
 """Command line behavior: fixtures, formats, round-trips, exit codes."""
 
 import dataclasses
+import errno
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -464,6 +469,39 @@ def test_unwritable_output_exits_three(tmp_path, capsys):
         assert err.startswith(f"bchnest: error: cannot write {path}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_unwritable_stdout_exits_three(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(["bch", "--grade", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"bchnest: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_stdout_exits_three():
+    # The document is flushed inside the error handling, and nothing is
+    # left buffered to fail again when the interpreter exits.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bchnest.cli", "bch", "--grade", "3"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            text=True,
+            timeout=120,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        f"bchnest: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    )
 
 
 def test_usage_errors_exit_one(capsys):

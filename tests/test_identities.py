@@ -14,6 +14,7 @@ from itertools import product
 import pytest
 
 from bchnest import identities, terms
+from bchnest import search as compaction
 from bchnest.identities import (
     _COMPACT_BUDGET,
     ExactMatrix,
@@ -465,7 +466,7 @@ def _search_to_the_meter(monkeypatch) -> None:
     # (test_proven_stop_changes_no_result) but ends a search before its
     # meter runs out: tests that pin the generator's draws, or count what
     # sampled bases learn and clear, see every block search to its meter.
-    monkeypatch.setattr(identities, "_proven_first", lambda *args: False)
+    monkeypatch.setattr(compaction, "_proven_first", lambda *args: False)
 
 
 def _budget_pin_lines(monkeypatch, exprs, budgets) -> list[str]:
@@ -480,7 +481,7 @@ def _budget_pin_lines(monkeypatch, exprs, budgets) -> list[str]:
             super().__init__(seed)
             rngs.append(self)
 
-    monkeypatch.setattr(identities.random, "Random", Recorded)
+    monkeypatch.setattr(compaction.random, "Random", Recorded)
     lines = []
     for budget in budgets:
         for m, expr in exprs:
@@ -599,13 +600,13 @@ def test_compact_search_skips_an_empty_seed(monkeypatch):
     sums = [z for _, z in _identity_sums(8, random.Random(1))]
     assert len(sym) == 3 and sums
     entered = []
-    real = identities._sample_bases
+    real = compaction._sample_bases
 
     def recorded(*args):
         entered.append(args)
         return real(*args)
 
-    monkeypatch.setattr(identities, "_sample_bases", recorded)
+    monkeypatch.setattr(compaction, "_sample_bases", recorded)
     for m, z in [(6, sym)] + [(8, z) for z in sums]:
         assert not compact_reduce(z, m)
     assert not entered
@@ -632,12 +633,12 @@ def test_compact_search_constructs_few_fractions():
 
 
 def _warm_compaction(monkeypatch, m, **wraps):
-    # A warm compact_reduce(bch_term(m, 2), m) with each identities.<name>
+    # A warm compact_reduce(bch_term(m, 2), m) with each search.<name>
     # replaced by wraps[name](the real function).
     e = bch_term(m, 2)
     warm = compact_reduce(e, m)
     for name, wrap in wraps.items():
-        monkeypatch.setattr(identities, name, wrap(getattr(identities, name)))
+        monkeypatch.setattr(compaction, name, wrap(getattr(compaction, name)))
     assert compact_reduce(e, m) == warm
 
 
@@ -733,7 +734,7 @@ def _first_by_every_support(search, block, node_key):
         x = _solve([expansions[i] for i in chosen], target)
         if x is not None:
             cand = identities._to_int({i: v for i, v in zip(chosen, x) if v})
-            if identities._ranks_before(identities._key(cand), node_key):
+            if compaction._ranks_before(compaction._key(cand), node_key):
                 return False
     return True
 
@@ -746,7 +747,7 @@ def test_proof_matches_enumerating_every_support():
     rng = random.Random(4017)
     outcomes = {True: 0, False: 0}
     for m in (4, 5, 6):
-        for search in identities._search_blocks(m).values():
+        for search in compaction._search_blocks(m).values():
             n = len(search.comms)
             for _ in range(12):
                 start = identities._to_int({
@@ -757,17 +758,17 @@ def test_proof_matches_enumerating_every_support():
                     start, {max(r): r for r, _, _ in search.rels}
                 )
                 table = {}
-                descended = identities._descend(
-                    identities._node(table, base), search.rels, [0], 100, table
+                descended = compaction._descend(
+                    compaction._node(table, base), search.rels, [0], 100, table
                 )
                 tried = [base, descended.block]
                 for block in tried[:2]:
                     for rel, _, _ in search.rels:
-                        for col, _, _ in identities._relation_moves(block[0], rel):
-                            tried.append(identities._move(block, rel, col))
+                        for col, _, _ in compaction._relation_moves(block[0], rel):
+                            tried.append(compaction._move(block, rel, col))
                 for block in tried:
-                    node = identities._node({}, block)
-                    got = identities._proven_first(node, base, search, 1 << n)
+                    node = compaction._node({}, block)
+                    got = compaction._proven_first(node, base, search, 1 << n)
                     assert got == _first_by_every_support(search, block, node.key), (
                         m, block
                     )
@@ -785,7 +786,7 @@ def _full_ranking_step(block, rels):
     fewest = []
     for rel in rels:
         seen = 0
-        for col, delta, index in identities._relation_moves(nums, rel):
+        for col, delta, index in compaction._relation_moves(nums, rel):
             if index < seen:
                 continue
             seen += 1
@@ -793,11 +794,11 @@ def _full_ranking_step(block, rels):
                 least, fewest = delta, [(rel, col)]
             elif delta == least:
                 fewest.append((rel, col))
-    best, best_key = block, identities._key(block)
+    best, best_key = block, compaction._key(block)
     for rel, col in fewest:
-        move = identities._move(block, rel, col)
-        key = identities._key(move)
-        if identities._ranks_before(key, best_key):
+        move = compaction._move(block, rel, col)
+        key = compaction._key(move)
+        if compaction._ranks_before(key, best_key):
             best, best_key = move, key
     return (None if best is block else best), len(fewest)
 
@@ -809,7 +810,7 @@ def test_step_matches_the_full_ranking():
     rng = random.Random(6011)
     kinds = dict.fromkeys(("shorter", "same size", "tie", "none", "untouched"), 0)
     for m in range(6, 10):
-        for search_block in identities._search_blocks(m).values():
+        for search_block in compaction._search_blocks(m).values():
             rels = [rel for rel, _, _ in search_block.rels]
             touched = {i for rel in rels for i in rel}
             n = len(search_block.comms)
@@ -819,8 +820,8 @@ def test_step_matches_the_full_ranking():
                     for i in rng.sample(range(n), rng.randint(1, n))
                 })
                 want, built = _full_ranking_step(block, rels)
-                node = identities._node({}, block)
-                got = identities._step(node, search_block.rels, {})
+                node = compaction._node({}, block)
+                got = compaction._step(node, search_block.rels, {})
                 assert (None if got is None else got.block) == want, (m, block)
                 if want is None:
                     kinds["none"] += 1
@@ -834,15 +835,20 @@ def test_step_matches_the_full_ranking():
 
 
 def test_compact_search_leaves_the_cached_tables_unchanged():
-    # Searches share each grade's relations and tail-rule rows; none may
-    # change them, whether the default budget runs out or a small one does.
+    # Searches and rewrites share each grade's identity rows, relations and
+    # tail-rule rows; none may change them, whether the default budget runs
+    # out or a small one does.
     compact_reduce(bch_term(8, 2), 8)
-    before = copy.deepcopy(identities._search_blocks(8))
+    before = copy.deepcopy(compaction._search_blocks(8))
+    idents = copy.deepcopy(identities._identity_rows(8))
     rows = [copy.deepcopy(identities._tail_rows(8, g)) for g in (4, 6)]
     compact_reduce(bch_term(8, 2), 8)
     for m, expr in _seeded_exprs(2008, 3, (8,)):
         compact_reduce(expr, m, 1000)
-    assert identities._search_blocks(8) == before
+        for regime in ("grade4", "grade6", "full"):
+            apply_regime(expr, m, regime)
+    assert compaction._search_blocks(8) == before
+    assert identities._identity_rows(8) == idents
     assert [identities._tail_rows(8, g) for g in (4, 6)] == rows
 
 
@@ -895,7 +901,7 @@ def test_sampled_basis_needs_no_back_substitution():
                 identities._primitive(ident.terms)
             )
         comms = enumerate_nested(m)
-        searches = identities._search_blocks(m)
+        searches = compaction._search_blocks(m)
         for key, rels in rel_blocks.items():
             search = searches[key]
             index = search.index
@@ -920,15 +926,15 @@ def test_sampled_basis_needs_no_back_substitution():
                 )
                 assert not base[0].keys() & {max(r) for r, _, _ in search.rels}
                 cols = sum(1 << index[c] for c in echelon)
-                freed = identities._sampled_block(base, search, cols)
+                freed = compaction._sampled_block(base, search, cols)
                 assert freed == ({index[c]: v for c, v in nums.items()}, den)
 
 
 def _pivot_set_counts(m: int) -> dict[int, int]:
     # How many sampled pivot sets this process knows, per block of grade m.
     return {
-        key: len(identities._sampled_pivots(m, key))
-        for key in identities._search_blocks(m)
+        key: len(compaction._sampled_pivots(m, key))
+        for key in compaction._search_blocks(m)
     }
 
 
@@ -944,7 +950,7 @@ def test_known_pivot_sets_change_no_result(monkeypatch):
     (_, expr), (_, other) = _seeded_exprs(7012, 2, (m,))
     lines = []
     for budget in (None, 100, _COMPACT_BUDGET):
-        identities._sampled_pivots.cache_clear()
+        compaction._sampled_pivots.cache_clear()
         if budget is not None:
             compact_reduce(other, m, budget)
         before = _pivot_set_counts(m)
@@ -954,9 +960,9 @@ def test_known_pivot_sets_change_no_result(monkeypatch):
             # The search met known pivot sets and learned new ones.
             assert any(0 < before[k] < after[k] for k in after)
     assert len(lines) == 3 and len(set(lines)) == 1
-    for key, search in identities._search_blocks(m).items():
+    for key, search in compaction._search_blocks(m).items():
         rng = random.Random(m * 1009 + key)
-        for cols in identities._sampled_pivots(m, key):
+        for cols in compaction._sampled_pivots(m, key):
             perm = list(search.support)
             rng.shuffle(perm)
             rows = [dict(r) for r, _, _ in search.rels]
@@ -971,11 +977,11 @@ def test_threads_learn_each_sample_index_once():
     # end as the lone search left them.
     m = 6
     exprs = [expr for _, expr in _seeded_exprs(6013, 4, (m,))]
-    identities._sampled_pivots.cache_clear()
+    compaction._sampled_pivots.cache_clear()
     want = [compact_reduce(expr, m) for expr in exprs]
-    blocks = identities._search_blocks(m)
-    learned = {key: list(identities._sampled_pivots(m, key)) for key in blocks}
-    identities._sampled_pivots.cache_clear()
+    blocks = compaction._search_blocks(m)
+    learned = {key: list(compaction._sampled_pivots(m, key)) for key in blocks}
+    compaction._sampled_pivots.cache_clear()
     _pivot_set_counts(m)  # each block's list exists before the threads start
     got = [None] * len(exprs)
 
@@ -994,7 +1000,7 @@ def test_threads_learn_each_sample_index_once():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == want
-    assert {key: identities._sampled_pivots(m, key) for key in blocks} == learned
+    assert {key: compaction._sampled_pivots(m, key) for key in blocks} == learned
 
 
 def test_warm_search_learns_no_pivot_set_again(monkeypatch):
@@ -1021,9 +1027,9 @@ def test_warm_search_learns_no_pivot_set_again(monkeypatch):
         return pick
 
     _search_to_the_meter(monkeypatch)
-    monkeypatch.setattr(identities, "_sample_bases", scoped(identities._sample_bases))
-    monkeypatch.setattr(identities, "_pivot_set", counted(identities._pivot_set))
-    identities._sampled_pivots.cache_clear()
+    monkeypatch.setattr(compaction, "_sample_bases", scoped(compaction._sample_bases))
+    monkeypatch.setattr(compaction, "_pivot_set", counted(compaction._pivot_set))
+    compaction._sampled_pivots.cache_clear()
     e = bch_term(8, 2)
     cold = compact_reduce(e, 8)
     assert picked[0] > 0
@@ -1040,7 +1046,7 @@ def test_pivot_set_is_the_dual_of_the_relation_echelon():
     # shuffles its sampled bases draw and on a largest-coefficient order.
     values = random.Random(4019)
     for m in range(4, 11):
-        for key, search in identities._search_blocks(m).items():
+        for key, search in compaction._search_blocks(m).items():
             draws = random.Random(m * 1009 + key)
             orders = []
             for _ in range(40):
@@ -1054,7 +1060,7 @@ def test_pivot_set_is_the_dual_of_the_relation_echelon():
                 rows = [dict(r) for r, _, _ in search.rels]
                 pivots = identities._echelon(rows, reversed(order))
                 cols = sum(1 << i for i in pivots)
-                assert identities._pivot_set(search, order) == cols, (m, key, order)
+                assert compaction._pivot_set(search, order) == cols, (m, key, order)
 
 
 def test_compact_search_leaves_no_cyclic_garbage():
