@@ -296,9 +296,10 @@ def _cleared(
 ) -> tuple[dict[K, int], int]:
     # A copy of start with every pivot column cleared, pivot rows applied
     # in order; start is integer numerators over a common denominator, in
-    # lowest terms, or a relation with den 0, which stays primitive.  Echelon rows in the order taken hold no earlier pivot's
-    # column, so a cleared column stays clear: the result is zero on every
-    # pivot column, the one such block, as with the fully reduced rows.
+    # lowest terms, or a relation with den 0, which stays primitive.
+    # Echelon rows in the order taken hold no earlier pivot's column, so a
+    # cleared column stays clear: the result is zero on every pivot column,
+    # the one such block, as with the fully reduced rows.
     nums, den = dict(start[0]), start[1]
     for col, prow in pivots.items():
         if col in nums:

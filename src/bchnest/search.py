@@ -11,21 +11,31 @@ and moves are built by that module's fraction-free kernel.  Its keys are
 small ints, each commutator's index in its block's lex order, from one
 cached table per grade; results map back to leaf tuples once per block, and
 terms no identity touches, such as three-generator ones, pass through
-unchanged.  Each block's search interns the blocks it meets, one node per
-distinct value keyed by its sorted values, which holds the node's descent
-step and the moves sized from it, so no step, move size or sampled basis's
-descent is computed twice.  One routine, ``_pivot_set``, picks every basis
-the search uses from the commutators' coordinates; by matroid duality it
-leaves out the pivots an echelon pass over the identities takes in the
-reverse order.  The process learns each sampled basis's pivot set once, as
-one int, and every pivot set is cleared one way, from the basis rewrite
-with the identities the set leaves free.  A block's search stops once its
-best is proven to rank first among the block's representations of the
-same element: an integer walk over the independent sets of at most as many
-commutators as the best has terms, tried only when those sets number no
-more than the meter steps left.  The best is only ever replaced by a block
-that ranks before it, so the stop changes no result.  It stays exact, and
-it is deterministic for fixed inputs.
+unchanged.  Each block's search takes the best of its seeds, stops there if
+the rank-first proof below holds, and otherwise samples bases for three
+fifths of its meter share and spends the rest on one steepest descent from
+its best.  A sampled basis is Prange's information-set step (IRE Trans. Inf.
+Theory 8, 1962): a basis drawn at random, with its pivot set cleared, then
+descended.  Each block's generator draws only the shuffles that pick those
+bases.  Sampling stops at three fifths of the share so that the rest can
+descend from the best when its descent is unfinished: a seed no sample beat,
+or a sample the three-fifths mark cut short.  Sampling the whole share made
+warm library searches slower and changed their results, and dropping that
+last descent changed them too.  Each block's search interns the blocks it
+meets, one node per distinct value keyed by its sorted values, which holds
+the node's descent step, so no step or sampled basis's descent is computed
+twice.  One routine, ``_pivot_set``, picks every basis the search uses from
+the commutators' coordinates; by matroid duality it leaves out the pivots an
+echelon pass over the identities takes in the reverse order.  The process
+learns each sampled basis's pivot set once, as one int, and every pivot set
+is cleared one way, from the basis rewrite with the identities the set
+leaves free.  A block's search stops once its best is proven to rank first
+among the block's representations of the same element: an integer walk over
+the independent sets of at most as many commutators as the best has terms,
+tried only when those sets number no more than the meter steps left.  The
+best is only ever replaced by a block that ranks before it, so the stop
+changes no result.  It stays exact, and it is deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from bchnest.identities import (
     _cleared,
@@ -99,21 +109,20 @@ class _Node:
     """One distinct block value met by a block search, and what is known of it.
 
     key is the block's sorted values, the node's key in its table.  step is
-    the node ``_step`` leads to, None when no move ranks first, and the node
-    itself until it is computed (no step leads back to its own block).
-    moves maps a relation's index to that relation's moves from here and the
-    moved nodes built so far, one slot per distinct move.  The block is
-    shared by every path that reaches the node, so no search code changes a
-    block in place; moves and samples work on copies.
+    the node ``_step`` leads to, None when no move ranks first, and False
+    until it is computed.  A step leads to a node that ranks strictly
+    first, so steps link the table's nodes without a cycle, and the table
+    is freed as soon as its block's search drops it.  The block is shared
+    by every path that reaches the node, so no search code changes a block
+    in place; moves and samples work on copies.
     """
 
-    __slots__ = ("block", "key", "step", "moves")
+    __slots__ = ("block", "key", "step")
 
     def __init__(self, block: Block, key: Key) -> None:
         self.block = block
         self.key = key
-        self.step: _Node | None = self
-        self.moves: dict[int, tuple[list[Move], list[_Node | None]]] = {}
+        self.step: _Node | None | Literal[False] = False
 
 
 # One block search's table of interned blocks, by key.
@@ -132,6 +141,7 @@ def _node(table: Table, block: Block, key: Key | None = None) -> _Node:
     if node is None:
         node = table[key] = _Node(block, key)
     return node
+
 
 def _ranks_before(a: Key, b: Key) -> bool:
     # Deterministic order on blocks: fewer terms first, ties broken by the
@@ -240,7 +250,7 @@ def _descend(
     # computed, so a descent cut short stops at the same block either way.
     while meter[0] < budget:
         nxt = node.step
-        if nxt is node:
+        if nxt is False:
             nxt = node.step = _step(node, rels, table)
         if nxt is None:
             break
@@ -414,7 +424,7 @@ def _sample_bases(
     # meter share is spent: a shuffle picks which commutators get
     # eliminated, its last first, and each resulting representation is
     # polished by descent.  Samples representations far apart in move
-    # distance, which the local walk cannot reach.  The k-th shuffle's pivot
+    # distance, which descent alone cannot reach.  The k-th shuffle's pivot
     # set is known[k] once any search of the block has reached it; a new one
     # comes from ``_pivot_set`` and is appended.  Each pivot set met is
     # cleared once, from base (zero on every dependent commutator), and met
@@ -449,60 +459,6 @@ def _sample_bases(
     return best
 
 
-def _anneal(
-    start: _Node,
-    base: Block,
-    search: _SearchBlock,
-    meter: list[int],
-    share: int,
-    rng: random.Random,
-    table: Table,
-) -> _Node:
-    # Random walk that tolerates slightly larger intermediates, polishing
-    # with descent whenever it ties the best and restarting from the best
-    # whenever it drifts too long without improving on it, until the
-    # block's meter share is spent.  A node's moves are sized once per
-    # relation drawn there; a move is built only when the walk first takes
-    # it.  A new best proven rank-first spends the rest of the share.
-    rels = search.rels
-    best = _descend(start, rels, meter, share, table)
-    if best is not start and _proven_first(best, base, search, share - meter[0]):
-        meter[0] = share
-    current = best
-    drift = 0
-    while meter[0] < share:
-        meter[0] += 1
-        i = rng.randrange(len(rels))
-        entry = current.moves.get(i)
-        if entry is None:
-            moves = _relation_moves(current.block[0], rels[i][0])
-            entry = current.moves[i] = moves, [None] * len(moves)
-        moves, built = entry
-        if moves:
-            col, delta, index = moves[rng.randrange(len(moves))]
-            if delta <= 0 or (delta == 1 and rng.random() < 0.35) or (
-                delta == 2 and rng.random() < 0.05
-            ):
-                nxt = built[index]
-                if nxt is None:
-                    nxt = built[index] = _node(
-                        table, _move(current.block, rels[i][0], col)
-                    )
-                current = nxt
-                if len(current.block[0]) <= len(best.block[0]):
-                    settled = _descend(current, rels, meter, share, table)
-                    if settled is not best and _ranks_before(settled.key, best.key):
-                        best = current = settled
-                        drift = 0
-                        if _proven_first(best, base, search, share - meter[0]):
-                            meter[0] = share
-        drift += 1
-        if drift > 300:
-            current = best
-            drift = 0
-    return best
-
-
 def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieExpr:
     """Budgeted search for a same-element representation with fewer terms.
 
@@ -512,36 +468,40 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     and seeds the search with the best of itself and its rewrites (the basis
     rewrite, both tail-rule regimes, and a largest-coefficient-first
     elimination), each the block with that rewrite's pivots cleared.
-    Steepest-descent single-relation moves follow, then a seeded random walk
-    that may pass through slightly larger representations; the best block is
-    replaced only by one that ranks before it, so no result block is longer
-    than the input's or any seed's, at any budget; terms no identity
-    touches are kept as they are.  A block's search ends as soon as its
-    best, a seed or a later one, is proven to rank first among the block's
-    representations of the element, so an empty best seed is not searched:
-    the proof walks the independent sets of at most as many commutators as
-    the best has terms, on integer coordinates over the block's basis, and
-    is tried only when there are no more such sets than meter steps left.
-    Since the best is replaced only by a block that ranks before it, the
-    stop changes no result.  All moves of one relation are sized in one
-    pass, by the terms they would cancel; a descent step skips a relation
-    sharing too few terms with its block, and builds only moves that can
-    rank first.  Each block's search keeps a table of the blocks it meets,
-    one node per distinct value with its descent step and the moves sized
-    from it, and unlinks and drops the table when the block is done: a
-    descent that reaches a node stepped from before follows the stored
-    steps, metered as if taken again.  Every basis the search picks, the
-    seed's, a sampled one or one in the proof, is the lex-first
-    independent subset of the commutators' coordinates in some order; by
-    matroid duality the commutators it leaves out, its pivot set, are
-    those an echelon pass over the relations takes in the reverse order.
-    The k-th sampled basis of a block is the same in every search, so its
-    pivot set is learned once per process, as one int.  Every pivot set is
-    cleared one way, from the basis rewrite with only the relations whose
-    dependent commutator it leaves free; a search clears each sampled one
-    once.  What the process has learned changes no result, meter or draw.
-    Deterministic for fixed inputs; exact; claims no optimality beyond the
-    blocks it proves.  A negative budget is refused.
+    Sampled bases follow for three fifths of the block's meter share: a
+    seeded shuffle picks a basis, the block is rewritten onto it, and the
+    result is polished by steepest-descent single-relation moves.  The rest
+    of the share descends from the best, which moves it only when it is a
+    seed no sample beat or a sample whose descent the three-fifths mark cut
+    short; sampling the whole share instead was slower and changed library
+    results.  The best block is replaced only by one that ranks before it,
+    so no result block is longer than the input's or any seed's, at any
+    budget; terms no identity touches are kept as they are.  A block's
+    search ends as soon as its best, a seed or a later one, is proven to
+    rank first among the block's representations of the element, so an empty
+    best seed is not searched: the proof walks the independent sets of at
+    most as many commutators as the best has terms, on integer coordinates
+    over the block's basis, and is tried only when there are no more such
+    sets than meter steps left.  Since the best is replaced only by a block
+    that ranks before it, the stop changes no result.  All moves of one
+    relation are sized in one pass, by the terms they would cancel; a
+    descent step skips a relation sharing too few terms with its block, and
+    builds only moves that can rank first.  Each block's search keeps a
+    table of the blocks it meets, one node per distinct value with its
+    descent step, and drops it when the block is done: a descent that
+    reaches a node stepped from before follows the stored steps, metered as
+    if taken again.  Every basis the search picks, the seed's, a sampled one
+    or one in the proof, is the lex-first independent subset of the
+    commutators' coordinates in some order; by matroid duality the
+    commutators it leaves out, its pivot set, are those an echelon pass over
+    the relations takes in the reverse order.  The k-th sampled basis of a
+    block is the same in every search, so its pivot set is learned once per
+    process, as one int.  Every pivot set is cleared one way, from the basis
+    rewrite with only the relations whose dependent commutator it leaves
+    free; a search clears each sampled one once.  What the process has
+    learned changes no result, meter or draw.  Deterministic for fixed
+    inputs; exact; claims no optimality beyond the blocks it proves.  A
+    negative budget is refused.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -597,13 +557,7 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
                 best, seeds[0], search, _sampled_pivots(m, key),
                 meter, share, rng, table,
             )
-            best = _anneal(best, seeds[0], search, meter, share, rng, table)
-        # Steps and moves link nodes in cycles (a move and its reverse, a
-        # node's own step until it is computed), so unlink them to free the
-        # table now, not at the next full collection.
-        for node in table.values():
-            node.step = None
-            node.moves.clear()
+            best = _descend(best, rels, meter, share, table)
         nums, den = best.block
         out.update((comms[i], Fraction(v, den)) for i, v in nums.items())
     return LieExpr._from_clean(out)

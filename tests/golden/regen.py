@@ -5,8 +5,11 @@
 Each case in ``CASES`` is one ``bchnest`` command line whose stdout is stored
 byte for byte under ``<name>``; a case named ``*.sha256`` stores only the
 sha256 hex digest of the document (for outputs too large to commit).
-``tests/test_golden.py`` renders the same cases and compares bytes.  Run this
-only in a change that means to alter output, and say so in CHANGES.md.
+``tests/test_golden.py`` renders the same cases and compares bytes.  Only the
+cases whose bytes differ are written, and each case prints ``changed NAME``
+or ``unchanged NAME``, so a change that means to move one golden shows that
+it moved exactly that one.  Run this only in a change that means to alter
+output, and say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -83,8 +86,13 @@ def golden_bytes(name: str, argv: list[str]) -> bytes:
 
 def main() -> int:
     for name, argv in CASES.items():
-        (HERE / name).write_bytes(golden_bytes(name, argv))
-        print(f"wrote {name}")
+        path = HERE / name
+        doc = golden_bytes(name, argv)
+        if path.exists() and path.read_bytes() == doc:
+            print(f"unchanged {name}")
+        else:
+            path.write_bytes(doc)
+            print(f"changed {name}")
     return 0
 
 

@@ -203,8 +203,7 @@ def test_identities_expand_each_commutator_once(monkeypatch):
 
 
 # sha256 of every identity's terms for grades 2..10 in their stored key
-# order, which drives the compaction search's random moves; frozen from the
-# Fraction in-order elimination.
+# order; frozen from the Fraction in-order elimination.
 IDENTITY_ORDER_PIN = "629ed7b8da933b342b5a6cd928ebb451ececba379de12c6138893075d7bab2e1"
 
 
@@ -496,9 +495,11 @@ def _budget_pin_lines(monkeypatch, exprs, budgets) -> list[str]:
 # sha256 of the compactions of eight seeded grade 6-7 expressions and of
 # bch_term(6) and bch_term(7) at budgets that cut the search off within its
 # first few sampled bases and descent steps, each line followed by the next
-# draw of every block's generator; frozen from the search that re-ran every
-# descent step, and run without the rank-first stop.
-SMALL_BUDGET_PIN = "97e4311e8d80032783434cb5135fac6d1e7291552678805742cfe5aca8da912b"
+# draw of every block's generator; run without the rank-first stop.  Frozen
+# from the search that re-ran every descent step, and frozen again when the
+# random walk after sampling was deleted: every compaction stayed the same,
+# and only the next draws moved.
+SMALL_BUDGET_PIN = "b6bdbb76a550ca835aae86de6325ac1f3976f8720c312e62dec73cc0d1dd7cd3"
 
 
 def test_compact_reduce_small_budget_pin(monkeypatch):
@@ -512,9 +513,11 @@ def test_compact_reduce_small_budget_pin(monkeypatch):
 # sha256 of the compactions of nine seeded grade 4-6 expressions and of
 # bch_term(4..6) at budgets where sampled bases repeat a pivot set many
 # times and the budget cuts a descent short, each line followed by the next
-# draw of every block's generator; frozen from the search that cleared and
-# descended again for every sample, and run without the rank-first stop.
-REPEATED_BASES_PIN = "839782d9d34810287bbd5c57c4ced6341fe14e62fa7eb6417dd3c65ff782bde0"
+# draw of every block's generator; run without the rank-first stop.  Frozen
+# from the search that cleared and descended again for every sample, and
+# frozen again when the random walk after sampling was deleted: every
+# compaction stayed the same, and only the next draws moved.
+REPEATED_BASES_PIN = "54852a2de2b798707cde60b813d83fd7a30514f80128ebfb0fe6457cb287708d"
 
 
 def test_compact_reduce_repeated_bases_pin(monkeypatch):
@@ -524,6 +527,39 @@ def test_compact_reduce_repeated_bases_pin(monkeypatch):
     lines = _budget_pin_lines(monkeypatch, exprs, (100, 250, 400))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == REPEATED_BASES_PIN
+
+
+def test_compact_search_draws_only_shuffles(monkeypatch):
+    # Each block's generator picks sampled bases and nothing else: the
+    # search shuffles, and draws no index or float as a random walk would.
+    exprs = [(8, bch_term(8, 2))] + _seeded_exprs(2012, 4, (6, 7, 8))
+    calls: dict[str, int] = {}
+
+    class Recorded(random.Random):
+        # A subclass that overrides random() alone draws its shuffles through
+        # random(), so getrandbits() is overridden too, and shuffles draw as
+        # they do unrecorded.
+        def getrandbits(self, k):
+            return super().getrandbits(k)
+
+        def shuffle(self, x):
+            calls["shuffle"] = calls.get("shuffle", 0) + 1
+            return super().shuffle(x)
+
+        def randrange(self, *args, **kwargs):
+            calls["randrange"] = calls.get("randrange", 0) + 1
+            return super().randrange(*args, **kwargs)
+
+        def random(self):
+            calls["random"] = calls.get("random", 0) + 1
+            return super().random()
+
+    monkeypatch.setattr(compaction.random, "Random", Recorded)
+    for m, expr in exprs:
+        out = compact_reduce(expr, m)
+        assert expand_lie(out) == expand_lie(expr)
+    assert calls.get("shuffle", 0) > 0
+    assert "randrange" not in calls and "random" not in calls
 
 
 def test_proven_stop_changes_no_result(monkeypatch):
@@ -670,20 +706,24 @@ def _counted(calls):
 
 
 def test_compact_search_probes_few_moves(monkeypatch):
-    # Moves built, by descent steps and by the walk: 4 313 when a step built
-    # every move that could tie its best so far, 3 168 when it built every
-    # distinct move of the least size, 1 553 now that a step that cannot
-    # shorten its block builds only moves that rank before it on the least
-    # key they change; the count repeats exactly from run to run.
+    # Moves built, by descent steps and, before it was deleted, by a random
+    # walk after sampling: 4 313 when a step built every move that could tie
+    # its best so far, 3 168 when it built every distinct move of the least
+    # size, 1 553 once a step that cannot shorten its block built only moves
+    # that rank before it on the least key they change, 1 063 with the
+    # rank-first stop, and 774 by descent steps alone; the count repeats
+    # exactly from run to run.
     calls = [0]
     _warm_compaction(monkeypatch, 8, _move=_counted(calls))
     assert 0 < calls[0] <= 1_700
 
 
 def test_compact_search_sizes_few_relations(monkeypatch):
-    # Relations sized, by descent steps and by the walk: 9 143 when a step
-    # sized every relation of its block, 4 212 now that it skips a relation
-    # whose shared keys are too few to reach the least size change.
+    # Relations sized, by descent steps and, before it was deleted, by a
+    # random walk after sampling: 9 143 when a step sized every relation of
+    # its block, 4 212 once it skipped a relation whose shared keys are too
+    # few to reach the least size change, 3 252 with the rank-first stop,
+    # and 2 497 by descent steps alone.
     calls = [0]
     _warm_compaction(monkeypatch, 8, _relation_moves=_counted(calls))
     assert 0 < calls[0] <= 4_500
@@ -1064,11 +1104,12 @@ def test_pivot_set_is_the_dual_of_the_relation_echelon():
 
 
 def test_compact_search_leaves_no_cyclic_garbage():
-    # Every block search unlinks its table, a block whose best seed is
-    # proven rank-first included, and the proof's walk holds no closure
-    # that refers to itself, so with caches warm the search leaves nothing
-    # for the cycle collector.  Before, these calls left 1 531 objects in
-    # cycles.
+    # No block search's table holds a cycle, since a descent step leads to
+    # a node that ranks strictly first and an uncomputed step is False, not
+    # the node itself, and the proof's walk holds no closure that refers to
+    # itself, so with caches warm the search leaves nothing for the cycle
+    # collector.  Before tables were unlinked, these calls left 1 531
+    # objects in cycles.
     calls = [(expr, m, 1000) for m, expr in _seeded_exprs(2010, 12, (6, 7, 8))]
     calls.append((bch_term(8, 2), 8, _COMPACT_BUDGET))
     for args in calls:
