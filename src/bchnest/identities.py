@@ -6,7 +6,9 @@ rows whose vanishing combinations are linear identities.  The expansion of a
 commutator with j X's only touches words with j X's, so elimination runs per
 letter multidegree: a sparse pass walks each block's commutators in lex
 order and yields the commutator basis (the lexicographically first
-independent subset) and the complete identity list.  The dense expansion
+independent subset) and the complete identity list.  The pass runs on
+integer word codes, each word one int that sorts as the word does, and
+decodes only the identities' commutators.  The dense expansion
 matrix, augmented with an identity block, and its reduced form are built
 only on demand, for the grade-4 worked example.
 
@@ -157,6 +159,29 @@ class IdentityReport:
         return gauss_jordan(self.matrix)
 
 
+def _expand_code(leaves: Leaves) -> dict[int, int]:
+    """``expand_nested`` of a two-letter commutator, on integer word codes.
+
+    A word of length L is the int (1 << L) | bits, its letters big-endian
+    below a marker bit, so codes of one length sort as their words do.
+    Prepending g adds (1 + g) << L, appending g is (w << 1) | g, and the
+    coefficients are ints; terms come in ``expand_nested``'s order.
+    """
+    poly = {2 | leaves[-1]: 1}
+    for length, g in enumerate(reversed(leaves[:-1]), 1):
+        front = (1 + g) << length
+        out: dict[int, int] = {}
+        for w, c in poly.items():
+            for k, v in ((w + front, c), ((w << 1) | g, -c)):
+                v += out.get(k, 0)
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+        poly = out
+    return poly
+
+
 @lru_cache(maxsize=None)
 def identities_and_basis(m: int) -> IdentityReport:
     """Discover the commutator basis and all linear identities at grade m."""
@@ -167,25 +192,29 @@ def identities_and_basis(m: int) -> IdentityReport:
 
     basis: list[Leaves] = []
     identities: list[LieExpr] = []
+    tags = 2 << m
     for key in sorted(blocks):
-        # In-order elimination over the block's commutators in lex order.
-        # A row holds c's word expansion plus c itself under the tag (2,) + c,
-        # which sorts after every word; a row left with tags only is an
-        # identity, its terms in the order elimination added them.
-        pivots: dict[Word, dict[Word, int]] = {}
+        # In-order elimination over the block's commutators in lex order, on
+        # ``_expand_code`` rows.  A row holds c's word expansion plus c itself
+        # under a tag, 2 << m plus c's code, which sorts after every word; a
+        # row left with tags only is an identity, its terms in the order
+        # elimination added them.
+        pivots: dict[int, dict[int, int]] = {}
+        names: dict[int, Leaves] = {}
         for c in blocks[key]:
-            row, den = _to_int(expand_nested(c).terms)
-            tag = (2,) + c
-            row[tag] = den
+            row = _expand_code(c)
+            tag = tags | int("1" + "".join(map(str, c)), 2)
+            names[tag] = c
+            row[tag] = 1
             row, _ = _cleared((row, 0), pivots)
             lead = min(row)
-            if lead[0] != 2:
+            if lead < tags:
                 pivots[lead] = row
                 basis.append(c)
             else:
                 # Normalized to coefficient 1 on c itself; the rest is
                 # supported on lex-earlier basis commutators.
-                terms = {k[1:]: Fraction(v, row[tag]) for k, v in row.items()}
+                terms = {names[k]: Fraction(v, row[tag]) for k, v in row.items()}
                 identities.append(LieExpr._from_clean(terms))
 
     basis.sort()
@@ -232,8 +261,9 @@ def _eliminate(row: dict[K, int], pick: dict[K, int], col: K, den: int = 0) -> i
     if p != 1:
         for k in row:
             row[k] *= p
+    get = row.get
     for k, v in pick.items():
-        c = row.get(k, 0) - f * v
+        c = get(k, 0) - f * v
         if c:
             row[k] = c
         else:

@@ -27,15 +27,19 @@ the node's descent step, so no step or sampled basis's descent is computed
 twice.  One routine, ``_pivot_set``, picks every basis the search uses from
 the commutators' coordinates; by matroid duality it leaves out the pivots an
 echelon pass over the identities takes in the reverse order.  The process
-learns each sampled basis's pivot set once, as one int, and every pivot set
-is cleared one way, from the basis rewrite with the identities the set
-leaves free.  A block's search stops once its best is proven to rank first
-among the block's representations of the same element: an integer walk over
-the independent sets of at most as many commutators as the best has terms,
-tried only when those sets number no more than the meter steps left.  The
-best is only ever replaced by a block that ranks before it, so the stop
-changes no result.  It stays exact, and it is deterministic for fixed
-inputs.
+learns each sampled basis's pivot set once, as one int, with the count of
+generator words drawn up to it, so a later search skips the shuffles of
+known samples and moves its generator past their words only where it draws
+again; every pivot set is cleared one way, from the basis rewrite with the
+identities the set leaves free.  A block's search stops once its best is
+proven to rank first among the block's representations of the same
+element: an integer walk over the independent sets of at most as many
+parallel classes as the best has terms, tried only when those sets number
+no more than the meter steps left.  A parallel class is the commutators
+whose coordinates span one line, walked as its least index, which ranks
+first among them.  The best is only ever replaced by a block that ranks
+before it, so the stop changes no result.  It stays exact, and it is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -93,7 +97,9 @@ class _SearchBlock(NamedTuple):
     coords holds each touched index's coordinates over the touched basis
     commutators, up to a positive factor, in index order: a basis
     commutator is a unit vector, a dependent one minus the rest of its
-    relation.
+    relation.  reps holds, in increasing order, the least index of each
+    class of parallel coordinates, those with one primitive vector up to
+    sign.
     """
 
     comms: tuple[Leaves, ...]
@@ -103,6 +109,7 @@ class _SearchBlock(NamedTuple):
     support: tuple[int, ...]
     dependents: int
     coords: dict[int, dict[int, int]]
+    reps: tuple[int, ...]
 
 
 class _Node:
@@ -286,8 +293,16 @@ def _search_blocks(m: int) -> dict[int, _SearchBlock]:
             else {i: 1}
             for i in support
         }
+        # Each class of parallel coordinates by its primitive vector, signed
+        # positive at its least key, and the class's least index.
+        classes: dict[tuple[tuple[int, int], ...], int] = {}
+        for i in support:
+            vec = coords[i]
+            g = gcd(*vec.values()) * (1 if vec[min(vec)] > 0 else -1)
+            classes.setdefault(tuple(sorted((j, v // g) for j, v in vec.items())), i)
         blocks[key] = _SearchBlock(
-            tuple(comms[key]), index, rels, rules, support, dependents, coords
+            tuple(comms[key]), index, rels, rules, support, dependents, coords,
+            tuple(classes.values()),
         )
     return blocks
 
@@ -297,8 +312,24 @@ def _search_blocks(m: int) -> dict[int, _SearchBlock]:
 _LEARNING = threading.Lock()
 
 
+class _Learned(list):
+    """The pivot sets of a block's sampled bases learned so far, by index.
+
+    words holds, by the same index, how many 32-bit words the block's
+    generator has drawn before that sample's shuffle, and one more count,
+    after the last: it starts as [0].  A sample's count is appended before
+    its pivot set, so words always reaches one past the pivot sets.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.words = [0]
+
+
 @lru_cache(maxsize=None)
-def _sampled_pivots(m: int, key: int) -> list[int]:
+def _sampled_pivots(m: int, key: int) -> _Learned:
     # The pivot set of each sampled basis of block key at grade m reached so
     # far in this process, as a bitmask, by sample index.  Every search of
     # the block draws the same shuffles from a generator seeded alike, so
@@ -306,7 +337,36 @@ def _sampled_pivots(m: int, key: int) -> list[int]:
     # ones they reach first.  Threads that first call this at once may each
     # get a list of their own, of which the cache keeps one: that loses
     # what the others learn, never a result.
-    return []
+    return _Learned()
+
+
+def _shuffle_counted(rng: random.Random, perm: list[int]) -> int:
+    # Shuffle perm with rng and return the 32-bit words it drew: a shuffle
+    # draws through rng.getrandbits alone, routed through a count for the
+    # one call.
+    words = 0
+    draw = rng.getrandbits
+
+    def counted(k: int) -> int:
+        nonlocal words
+        words += (k + 31) >> 5
+        return draw(k)
+
+    rng.getrandbits = counted
+    try:
+        rng.shuffle(perm)
+    finally:
+        del rng.getrandbits
+    return words
+
+
+def _advance(rng: random.Random, words: int) -> None:
+    # Draw and drop words 32-bit words, 4 096 at a time: rng then stands
+    # where shuffles drawing those words would have left it.
+    while words > 0:
+        step = min(words, 4096)
+        rng.getrandbits(step << 5)
+        words -= step
 
 
 def _pivot_set(search: _SearchBlock, order: Iterable[int]) -> int:
@@ -350,31 +410,37 @@ def _proven_first(
     # replaces its best only by a block that ranks before it, so such a
     # best is final.  Terms off the support are the same in every
     # equivalent block and change no ranking, so only node's s terms on the
-    # support count, the least of them at support position least.  A block
-    # that ranks before node's lies on at most s commutators, and when they
-    # are dependent a smaller independent set among them spans the target,
-    # base's values on the support, too.  So the proof walks the independent
-    # sets of at most s commutators in increasing order, with forward
-    # echelon rows of their coordinates and the target reduced by them.  It
-    # fails when the target lies in the span of fewer than s, or of s whose
-    # least is below least.  On s whose least is least, the one equivalent
-    # block is zero off the basis ``_pivot_set`` extends them to;
-    # ``_sampled_block`` clears it from base to rank it against node's.
-    # Sets of s whose least is above least are not walked: their block
-    # ranks after node's, or lies on a smaller set.  Not tried, and False,
-    # when the sets to walk may outnumber allowance.
-    support = search.support
-    vectors = list(search.coords.values())
+    # support count.  Commutators whose coordinates are parallel span one
+    # line, and moving a term from one to the least of its class, search.reps,
+    # keeps the size and lowers an index: so a node holding a later member
+    # of a class is not first, and otherwise some block that ranks before
+    # node's lies on at most s classes' least members.  When they are
+    # dependent a smaller independent set among them spans the target,
+    # base's values on the support, too.  So the proof walks the
+    # independent sets of at most s of reps in increasing order, with
+    # forward echelon rows of their coordinates and the target reduced by
+    # them.  It fails when the target lies in the span of fewer than s, or
+    # of s whose least is below least, node's least position in reps.  On s
+    # whose least is least, the one equivalent block is zero off the basis
+    # ``_pivot_set`` extends them to; ``_sampled_block`` clears it from base
+    # to rank it against node's.  Sets of s whose least is above least are
+    # not walked: their block ranks after node's, or lies on a smaller set.
+    # Not tried, and False, when the sets to walk may outnumber allowance.
+    reps = search.reps
+    vectors = [search.coords[i] for i in reps]
     n = len(vectors)
-    held = [p for p, i in enumerate(support) if i in node.block[0]]
-    s = len(held)
+    nums = node.block[0]
+    held = [p for p, i in enumerate(reps) if i in nums]
+    s = sum(i in search.coords for i in nums)
     if sum(comb(n, k) for k in range(s + 1)) > allowance:
         return False
     target = {i: v for i, v in base[0].items() if i in search.coords}
     if not target:
         return not s
+    if len(held) < s:
+        return False
     least = held[0]
-    # The set walked, as support positions, its echelon rows, the target
+    # The set walked, as positions in reps, its echelon rows, the target
     # reduced by each prefix of them, and the next position to try.
     chosen: list[int] = []
     rows: dict[int, dict[int, int]] = {}
@@ -399,7 +465,7 @@ def _proven_first(
                 if size < s or first != least:
                     return False
                 if chosen + [p] != held:
-                    order = (support[q] for q in (*chosen, p, *range(n)))
+                    order = (reps[q] for q in (*chosen, p, *range(n)))
                     block = _sampled_block(base, search, _pivot_set(search, order))
                     if _ranks_before(_key(block), node.key):
                         return False
@@ -414,7 +480,7 @@ def _sample_bases(
     start: _Node,
     base: Block,
     search: _SearchBlock,
-    known: list[int],
+    known: _Learned,
     meter: list[int],
     share: int,
     rng: random.Random,
@@ -425,8 +491,11 @@ def _sample_bases(
     # eliminated, its last first, and each resulting representation is
     # polished by descent.  Samples representations far apart in move
     # distance, which descent alone cannot reach.  The k-th shuffle's pivot
-    # set is known[k] once any search of the block has reached it; a new one
-    # comes from ``_pivot_set`` and is appended.  Each pivot set met is
+    # set is known[k] once any search of the block has reached it, and its
+    # shuffle is skipped; a new one comes from ``_pivot_set`` and is
+    # appended with the generator's word count.  Before a shuffle, and when
+    # sampling ends, rng skips the words of the shuffles skipped, so it
+    # draws and ends as if it had made them all.  Each pivot set met is
     # cleared once, from base (zero on every dependent commutator), and met
     # again descends from its cleared node along the stored steps, metered
     # alike; its end was compared with a best that has only improved since.
@@ -435,17 +504,20 @@ def _sample_bases(
     rels = search.rels
     budget = share * 3 // 5
     cleared: dict[int, _Node] = {}
-    sample = 0
+    sample = drawn = 0
     while meter[0] < budget:
         meter[0] += 1
-        perm = list(search.support)
-        rng.shuffle(perm)
         if sample < len(known):
             cols = known[sample]
         else:
+            _advance(rng, known.words[sample] - drawn)
+            drawn = known.words[sample]
+            perm = list(search.support)
+            drawn += _shuffle_counted(rng, perm)
             cols = _pivot_set(search, perm)
             with _LEARNING:
                 if len(known) == sample:  # no other thread learned it first
+                    known.words.append(drawn)
                     known.append(cols)
         sample += 1
         node = cleared.get(cols)
@@ -456,6 +528,7 @@ def _sample_bases(
             best = cand
             if _proven_first(best, base, search, share - meter[0]):
                 meter[0] = share
+    _advance(rng, known.words[sample] - drawn)
     return best
 
 
@@ -480,8 +553,9 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     search ends as soon as its best, a seed or a later one, is proven to
     rank first among the block's representations of the element, so an empty
     best seed is not searched: the proof walks the independent sets of at
-    most as many commutators as the best has terms, on integer coordinates
-    over the block's basis, and is tried only when there are no more such
+    most as many parallel classes as the best has terms, each class of
+    commutators with parallel integer coordinates over the block's basis
+    taken at its least index, and is tried only when there are no more such
     sets than meter steps left.  Since the best is replaced only by a block
     that ranks before it, the stop changes no result.  All moves of one
     relation are sized in one pass, by the terms they would cancel; a
@@ -496,7 +570,9 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     commutators it leaves out, its pivot set, are those an echelon pass over
     the relations takes in the reverse order.  The k-th sampled basis of a
     block is the same in every search, so its pivot set is learned once per
-    process, as one int.  Every pivot set is cleared one way, from the basis
+    process, as one int, with the generator's word count after it: a search
+    skips the shuffles of known samples, and its generator draws and ends as
+    if it had made them.  Every pivot set is cleared one way, from the basis
     rewrite with only the relations whose dependent commutator it leaves
     free; a search clears each sampled one once.  What the process has
     learned changes no result, meter or draw.  Deterministic for fixed

@@ -13,7 +13,7 @@ from itertools import product
 
 import pytest
 
-from bchnest import identities, terms
+from bchnest import identities
 from bchnest import search as compaction
 from bchnest.identities import (
     _COMPACT_BUDGET,
@@ -187,19 +187,36 @@ def test_identities_expand_to_zero():
 
 
 def test_identities_expand_each_commutator_once(monkeypatch):
-    # Cold elimination expands every commutator once and re-expands nothing.
+    # Cold elimination expands every commutator once, through the integer
+    # kernel, and re-expands nothing.
     calls = []
-    real = terms.expand_nested
+    real = identities._expand_code
 
     def counted(leaves):
         calls.append(leaves)
         return real(leaves)
 
-    monkeypatch.setattr(terms, "expand_nested", counted)
-    monkeypatch.setattr(identities, "expand_nested", counted)
+    monkeypatch.setattr(identities, "_expand_code", counted)
     identities_and_basis.cache_clear()
     identities_and_basis(10)
     assert len(calls) == len(enumerate_nested(10)) == 256
+
+
+def _decoded(code: int) -> tuple[int, ...]:
+    # The word of an integer word code: its bits below the marker bit.
+    return tuple(int(b) for b in bin(code)[3:])
+
+
+def test_integer_kernel_matches_expand_nested():
+    # Decoded, the integer kernel's expansion is expand_nested's, values
+    # and key order both, for every canonical commutator through grade 10,
+    # and its codes sort as their words do.
+    for m in range(2, 11):
+        for c in enumerate_nested(m):
+            codes = identities._expand_code(c)
+            got = [(_decoded(k), F(v)) for k, v in codes.items()]
+            assert got == list(expand_nested(c).terms.items()), c
+            assert [_decoded(k) for k in sorted(codes)] == sorted(w for w, _ in got)
 
 
 # sha256 of every identity's terms for grades 2..10 in their stored key
@@ -532,6 +549,8 @@ def test_compact_reduce_repeated_bases_pin(monkeypatch):
 def test_compact_search_draws_only_shuffles(monkeypatch):
     # Each block's generator picks sampled bases and nothing else: the
     # search shuffles, and draws no index or float as a random walk would.
+    # Nothing is learned before, so the searches shuffle whatever ran first.
+    compaction._sampled_pivots.cache_clear()
     exprs = [(8, bch_term(8, 2))] + _seeded_exprs(2012, 4, (6, 7, 8))
     calls: dict[str, int] = {}
 
@@ -560,6 +579,40 @@ def test_compact_search_draws_only_shuffles(monkeypatch):
         assert expand_lie(out) == expand_lie(expr)
     assert calls.get("shuffle", 0) > 0
     assert "randrange" not in calls and "random" not in calls
+
+
+def test_warm_search_skips_the_shuffles_of_known_samples(monkeypatch):
+    # A search skips the shuffle of every sample whose pivot set the
+    # process knows, and its generator still ends where those shuffles would
+    # have left it: a warm repeat of a cold search shuffles nothing and
+    # gives the same result and the same next draw of every generator.
+    # Before the skip, the warm search shuffled as often as the cold one.
+    _search_to_the_meter(monkeypatch)
+    shuffles = [0]
+    rngs: list[random.Random] = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed: int) -> None:
+            super().__init__(seed)
+            rngs.append(self)
+
+        def shuffle(self, x):
+            shuffles[0] += 1
+            return super().shuffle(x)
+
+    monkeypatch.setattr(compaction.random, "Random", Recorded)
+    compaction._sampled_pivots.cache_clear()
+    e = bch_term(7, 2)
+    runs = []
+    for _ in range(2):
+        shuffles[0] = 0
+        rngs.clear()
+        out = compact_reduce(e, 7)
+        runs.append((list(out.terms.items()), [r.getrandbits(32) for r in rngs]))
+        runs.append(shuffles[0])
+    cold, cold_shuffles, warm, warm_shuffles = runs
+    assert warm == cold
+    assert cold_shuffles > 0 and warm_shuffles == 0
 
 
 def test_proven_stop_changes_no_result(monkeypatch):
@@ -711,8 +764,9 @@ def test_compact_search_probes_few_moves(monkeypatch):
     # its best so far, 3 168 when it built every distinct move of the least
     # size, 1 553 once a step that cannot shorten its block built only moves
     # that rank before it on the least key they change, 1 063 with the
-    # rank-first stop, and 774 by descent steps alone; the count repeats
-    # exactly from run to run.
+    # rank-first stop, 774 by descent steps alone, and 18 once the proof
+    # walked parallel classes and stopped the X-count-4 block at meter step
+    # 7; the count repeats exactly from run to run.
     calls = [0]
     _warm_compaction(monkeypatch, 8, _move=_counted(calls))
     assert 0 < calls[0] <= 1_700
@@ -723,7 +777,8 @@ def test_compact_search_sizes_few_relations(monkeypatch):
     # random walk after sampling: 9 143 when a step sized every relation of
     # its block, 4 212 once it skipped a relation whose shared keys are too
     # few to reach the least size change, 3 252 with the rank-first stop,
-    # and 2 497 by descent steps alone.
+    # 2 497 by descent steps alone, and 62 once the proof walked parallel
+    # classes.
     calls = [0]
     _warm_compaction(monkeypatch, 8, _relation_moves=_counted(calls))
     assert 0 < calls[0] <= 4_500
@@ -779,6 +834,28 @@ def _first_by_every_support(search, block, node_key):
     return True
 
 
+def _tried_blocks(search, rng, most):
+    # A random block on at most `most` of search's commutators, its basis
+    # rewrite base, and the blocks a proof test tries: base, its descent and
+    # each single move from those.
+    n = len(search.comms)
+    start = identities._to_int({
+        i: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
+        for i in rng.sample(range(n), rng.randint(1, most))
+    })
+    base = identities._cleared(start, {max(r): r for r, _, _ in search.rels})
+    table = {}
+    descended = compaction._descend(
+        compaction._node(table, base), search.rels, [0], 100, table
+    )
+    tried = [base, descended.block]
+    for block in tried[:2]:
+        for rel, _, _ in search.rels:
+            for col, _, _ in compaction._relation_moves(block[0], rel):
+                tried.append(compaction._move(block, rel, col))
+    return base, tried
+
+
 def test_proof_matches_enumerating_every_support():
     # On random blocks of every search block at grades 4-6, the proof holds
     # for a block exactly when no block of the same element, on any set of
@@ -790,22 +867,7 @@ def test_proof_matches_enumerating_every_support():
         for search in compaction._search_blocks(m).values():
             n = len(search.comms)
             for _ in range(12):
-                start = identities._to_int({
-                    i: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
-                    for i in rng.sample(range(n), rng.randint(1, n))
-                })
-                base = identities._cleared(
-                    start, {max(r): r for r, _, _ in search.rels}
-                )
-                table = {}
-                descended = compaction._descend(
-                    compaction._node(table, base), search.rels, [0], 100, table
-                )
-                tried = [base, descended.block]
-                for block in tried[:2]:
-                    for rel, _, _ in search.rels:
-                        for col, _, _ in compaction._relation_moves(block[0], rel):
-                            tried.append(compaction._move(block, rel, col))
+                base, tried = _tried_blocks(search, rng, n)
                 for block in tried:
                     node = compaction._node({}, block)
                     got = compaction._proven_first(node, base, search, 1 << n)
@@ -814,6 +876,138 @@ def test_proof_matches_enumerating_every_support():
                     )
                     outcomes[got] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def _commutator_walk(node, base, search):
+    # The proof as it was before it walked parallel classes: the same walk
+    # over every support commutator's coordinates, with no allowance.
+    support = search.support
+    vectors = list(search.coords.values())
+    n = len(vectors)
+    held = [p for p, i in enumerate(support) if i in node.block[0]]
+    s = len(held)
+    target = {i: v for i, v in base[0].items() if i in search.coords}
+    if not target:
+        return not s
+    least = held[0]
+    chosen, rows, rests, p = [], {}, [target], 0
+    while True:
+        size = len(chosen) + 1
+        first = chosen[0] if chosen else p
+        if p == n or (size == s and first > least):
+            if not chosen:
+                return True
+            p = chosen.pop() + 1
+            rows.popitem()
+            rests.pop()
+            continue
+        vec, _ = identities._cleared((vectors[p], 0), rows)
+        if vec:
+            col = next(iter(vec))
+            left, _ = identities._cleared((rests[-1], 0), {col: vec})
+            if not left:
+                if size < s or first != least:
+                    return False
+                if chosen + [p] != held:
+                    order = (support[q] for q in (*chosen, p, *range(n)))
+                    cols = compaction._pivot_set(search, order)
+                    block = compaction._sampled_block(base, search, cols)
+                    if compaction._ranks_before(compaction._key(block), node.key):
+                        return False
+            elif size < s:
+                chosen.append(p)
+                rows[col] = vec
+                rests.append(left)
+        p += 1
+
+
+def test_parallel_classes_are_the_least_index_of_each_line():
+    # Each class is the least support index of one line of coordinate
+    # vectors, and every support commutator is parallel to its class's.
+    counts = {}
+    for m in range(4, 11):
+        for search in compaction._search_blocks(m).values():
+            reps = search.reps
+            assert list(reps) == sorted(reps)
+            for i in search.support:
+                line = [
+                    r for r in reps
+                    if not identities._cleared(
+                        (search.coords[i], 0),
+                        {min(search.coords[r]): search.coords[r]},
+                    )[0]
+                ]
+                assert len(line) == 1 and line[0] <= i, (m, i)
+        counts[m] = [len(b.reps) for _, b in sorted(compaction._search_blocks(m).items())]
+    assert counts[8] == [5, 11, 14, 11, 5]
+    assert counts[9] == [5, 16, 25, 25, 16, 5]
+    assert counts[10] == [7, 22, 41, 50, 41, 22, 7]
+
+
+def test_class_walk_matches_the_commutator_walk():
+    # On random blocks of every search block at grades 4-8, and on the
+    # seeds and results of the grade 4-8 series terms, the proof that walks
+    # parallel classes answers as the walk over every support commutator.
+    # The blocks tried are the basis rewrite, its descent and each single
+    # move from those, which often put a term on a later member of a class.
+    rng = random.Random(4021)
+    outcomes = {True: 0, False: 0, "later member": 0}
+
+    def check(node, base, search):
+        got = compaction._proven_first(node, base, search, 1 << 40)
+        assert got == _commutator_walk(node, base, search), (search.comms[0], node.key)
+        outcomes[got] += 1
+        outcomes["later member"] += any(
+            i in search.coords and i not in search.reps for i in node.block[0]
+        )
+
+    for m in range(4, 9):
+        for search in compaction._search_blocks(m).values():
+            for _ in range(6):
+                base, tried = _tried_blocks(search, rng, min(len(search.comms), 4))
+                for block in tried:
+                    check(compaction._node({}, block), base, search)
+        blocks = compaction._search_blocks(m)
+        out = compact_bch_term(m)
+        for key, search in blocks.items():
+            part = {
+                search.index[c]: v for c, v in bch_term(m, 2).terms.items()
+                if c in search.index
+            }
+            start = identities._to_int(part)
+            base = identities._cleared(start, search.rules[0])
+            best = identities._to_int({
+                search.index[c]: v for c, v in out.terms.items() if c in search.index
+            })
+            for block in [start, best] + [identities._cleared(start, r) for r in search.rules]:
+                check(compaction._node({}, block), base, search)
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_grade_eight_proves_every_block(monkeypatch):
+    # With the proof walking parallel classes, the grade-8 series search
+    # proves all five of its blocks.  The middle one, X-count 4, is proven
+    # by meter step 7, where its 14 classes' sets fit the steps left and its
+    # 20 commutators' sets did not.
+    proofs, shares = {}, {}
+
+    def wrap_proof(real):
+        def recorded(node, base, search, allowance):
+            got = real(node, base, search, allowance)
+            if got:
+                proofs[search.comms[0].count(0)] = allowance
+            return got
+        return recorded
+
+    def wrap_search(real):
+        def recorded(*args):
+            shares[args[2].comms[0].count(0)] = args[5]
+            return real(*args)
+        return recorded
+
+    _warm_compaction(monkeypatch, 8, _proven_first=wrap_proof, _sample_bases=wrap_search)
+    assert sorted(proofs) == sorted(compaction._search_blocks(8)) == [2, 3, 4, 5, 6]
+    assert shares[4] - proofs[4] <= 7
 
 
 def _full_ranking_step(block, rels):
