@@ -532,6 +532,8 @@ def series_term(
     expression.  Plain compact terms come from ``compact_bch_term``'s cache,
     which that assembly shares.
     """
+    if regime not in TABLE_MODES:
+        raise ValueError(f"unknown regime {regime!r}")
     if variant not in ("plain", "symmetric"):
         raise ValueError(f"unknown variant {variant!r}")
     if nvars != 2 and (regime != "none" or variant != "plain"):

@@ -16,8 +16,7 @@ the rank-first proof below holds, and otherwise samples bases for three
 fifths of its meter share and spends the rest on one steepest descent from
 its best.  A sampled basis is Prange's information-set step (IRE Trans. Inf.
 Theory 8, 1962): a basis drawn at random, with its pivot set cleared, then
-descended.  Each block's generator draws only the shuffles that pick those
-bases.  Sampling stops at three fifths of the share so that the rest can
+descended.  Sampling stops at three fifths of the share so that the rest can
 descend from the best when its descent is unfinished: a seed no sample beat,
 or a sample the three-fifths mark cut short.  Sampling the whole share made
 warm library searches slower and changed their results, and dropping that
@@ -26,20 +25,21 @@ meets, one node per distinct value keyed by its sorted values, which holds
 the node's descent step, so no step or sampled basis's descent is computed
 twice.  One routine, ``_pivot_set``, picks every basis the search uses from
 the commutators' coordinates; by matroid duality it leaves out the pivots an
-echelon pass over the identities takes in the reverse order.  The process
-learns each sampled basis's pivot set once, as one int, with the count of
-generator words drawn up to it, so a later search skips the shuffles of
-known samples and moves its generator past their words only where it draws
-again; every pivot set is cleared one way, from the basis rewrite with the
-identities the set leaves free.  A block's search stops once its best is
-proven to rank first among the block's representations of the same
-element: an integer walk over the independent sets of at most as many
-parallel classes as the best has terms, tried only when those sets number
-no more than the meter steps left.  A parallel class is the commutators
-whose coordinates span one line, walked as its least index, which ranks
-first among them.  The best is only ever replaced by a block that ranks
-before it, so the stop changes no result.  It stays exact, and it is
-deterministic for fixed inputs.
+echelon pass over the identities takes in the reverse order.  Each block has
+one random generator per process, seeded by the grade and the X-count, owned
+by the list of the pivot sets its shuffles picked: the k-th sampled basis is
+the one its k-th shuffle picks, the same in every search, so the process
+learns it once, as one int, and the generator draws only the shuffles of
+samples no search has reached yet.  Every pivot set is cleared one way, from
+the basis rewrite with the identities the set leaves free.  A block's search
+stops once its best is proven to rank first among the block's
+representations of the same element: an integer walk over the independent
+sets of at most as many parallel classes as the best has terms, tried only
+when those sets number no more than the meter steps left.  A parallel class
+is the commutators whose coordinates span one line, walked as its least
+index, which ranks first among them.  The best is only ever replaced by a
+block that ranks before it, so the stop changes no result.  It stays exact,
+and it is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -307,66 +307,41 @@ def _search_blocks(m: int) -> dict[int, _SearchBlock]:
     return blocks
 
 
-# Held to append to a list of ``_sampled_pivots``, so that searches of one
-# block in several threads learn each sample index once.
+# Held to extend a list of ``_sampled_pivots``, so that searches of one
+# block in several threads shuffle its generator in turn and learn each
+# sample index once.
 _LEARNING = threading.Lock()
 
 
-class _Learned(list):
-    """The pivot sets of a block's sampled bases learned so far, by index.
+class _Samples(list):
+    """The pivot sets of a block's sampled bases learned so far, by index,
+    and the generator whose next shuffle picks the next one."""
 
-    words holds, by the same index, how many 32-bit words the block's
-    generator has drawn before that sample's shuffle, and one more count,
-    after the last: it starts as [0].  A sample's count is appended before
-    its pivot set, so words always reaches one past the pivot sets.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.words = [0]
+    __slots__ = ("rng",)
 
 
 @lru_cache(maxsize=None)
-def _sampled_pivots(m: int, key: int) -> _Learned:
+def _sampled_pivots(m: int, key: int) -> _Samples:
     # The pivot set of each sampled basis of block key at grade m reached so
-    # far in this process, as a bitmask, by sample index.  Every search of
-    # the block draws the same shuffles from a generator seeded alike, so
-    # the k-th pivot set is the same in all of them; searches append the
-    # ones they reach first.  Threads that first call this at once may each
-    # get a list of their own, of which the cache keeps one: that loses
-    # what the others learn, never a result.
-    return _Learned()
+    # far in this process, as a bitmask, by sample index, with the block's
+    # one generator.  Threads that first call this at once may each get a
+    # list of their own, of which the cache keeps one: that loses what the
+    # others learn, never a result.
+    samples = _Samples()
+    samples.rng = random.Random(m * 1009 + key)
+    return samples
 
 
-def _shuffle_counted(rng: random.Random, perm: list[int]) -> int:
-    # Shuffle perm with rng and return the 32-bit words it drew: a shuffle
-    # draws through rng.getrandbits alone, routed through a count for the
-    # one call.
-    words = 0
-    draw = rng.getrandbits
-
-    def counted(k: int) -> int:
-        nonlocal words
-        words += (k + 31) >> 5
-        return draw(k)
-
-    rng.getrandbits = counted
-    try:
-        rng.shuffle(perm)
-    finally:
-        del rng.getrandbits
-    return words
-
-
-def _advance(rng: random.Random, words: int) -> None:
-    # Draw and drop words 32-bit words, 4 096 at a time: rng then stands
-    # where shuffles drawing those words would have left it.
-    while words > 0:
-        step = min(words, 4096)
-        rng.getrandbits(step << 5)
-        words -= step
+def _sample_cols(samples: _Samples, search: _SearchBlock, k: int) -> int:
+    # Sample k's pivot set, learning the ones up to it in order: each is
+    # ``_pivot_set`` of the next shuffle of the block's support.
+    if k >= len(samples):
+        with _LEARNING:
+            while len(samples) <= k:
+                perm = list(search.support)
+                samples.rng.shuffle(perm)
+                samples.append(_pivot_set(search, perm))
+    return samples[k]
 
 
 def _pivot_set(search: _SearchBlock, order: Iterable[int]) -> int:
@@ -480,22 +455,17 @@ def _sample_bases(
     start: _Node,
     base: Block,
     search: _SearchBlock,
-    known: _Learned,
+    samples: _Samples,
     meter: list[int],
     share: int,
-    rng: random.Random,
     table: Table,
 ) -> _Node:
     # Rewrite onto bases drawn at random, until three fifths of the block's
     # meter share is spent: a shuffle picks which commutators get
     # eliminated, its last first, and each resulting representation is
     # polished by descent.  Samples representations far apart in move
-    # distance, which descent alone cannot reach.  The k-th shuffle's pivot
-    # set is known[k] once any search of the block has reached it, and its
-    # shuffle is skipped; a new one comes from ``_pivot_set`` and is
-    # appended with the generator's word count.  Before a shuffle, and when
-    # sampling ends, rng skips the words of the shuffles skipped, so it
-    # draws and ends as if it had made them all.  Each pivot set met is
+    # distance, which descent alone cannot reach.  The k-th basis is
+    # samples' k-th pivot set, learned on first use.  Each pivot set met is
     # cleared once, from base (zero on every dependent commutator), and met
     # again descends from its cleared node along the stored steps, metered
     # alike; its end was compared with a best that has only improved since.
@@ -504,21 +474,10 @@ def _sample_bases(
     rels = search.rels
     budget = share * 3 // 5
     cleared: dict[int, _Node] = {}
-    sample = drawn = 0
+    sample = 0
     while meter[0] < budget:
         meter[0] += 1
-        if sample < len(known):
-            cols = known[sample]
-        else:
-            _advance(rng, known.words[sample] - drawn)
-            drawn = known.words[sample]
-            perm = list(search.support)
-            drawn += _shuffle_counted(rng, perm)
-            cols = _pivot_set(search, perm)
-            with _LEARNING:
-                if len(known) == sample:  # no other thread learned it first
-                    known.words.append(drawn)
-                    known.append(cols)
+        cols = _sample_cols(samples, search, sample)
         sample += 1
         node = cleared.get(cols)
         if node is None:
@@ -528,7 +487,6 @@ def _sample_bases(
             best = cand
             if _proven_first(best, base, search, share - meter[0]):
                 meter[0] = share
-    _advance(rng, known.words[sample] - drawn)
     return best
 
 
@@ -570,14 +528,12 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     commutators it leaves out, its pivot set, are those an echelon pass over
     the relations takes in the reverse order.  The k-th sampled basis of a
     block is the same in every search, so its pivot set is learned once per
-    process, as one int, with the generator's word count after it: a search
-    skips the shuffles of known samples, and its generator draws and ends as
-    if it had made them.  Every pivot set is cleared one way, from the basis
-    rewrite with only the relations whose dependent commutator it leaves
-    free; a search clears each sampled one once.  What the process has
-    learned changes no result, meter or draw.  Deterministic for fixed
-    inputs; exact; claims no optimality beyond the blocks it proves.  A
-    negative budget is refused.
+    process, from the block's one generator.  Every pivot set is cleared one
+    way, from the basis rewrite with only the relations whose dependent
+    commutator it leaves free; a search clears each sampled one once.  What
+    the process has learned changes no result or meter.  Deterministic for
+    fixed inputs; exact; claims no optimality beyond the blocks it proves.
+    A negative budget is refused.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -623,15 +579,13 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
             cand = _node(table, seed)
             if _ranks_before(cand.key, best.key):
                 best = cand
-        # Each block has its own meter share and generator, and a best
-        # seed proven rank-first, an empty one included, is not searched.
+        # Each block has its own meter share, and a best seed proven
+        # rank-first, an empty one included, is not searched.
         share = max(1, budget * len(rels) // max(1, total_rels))
         if not _proven_first(best, seeds[0], search, share):
             meter = [0]
-            rng = random.Random(m * 1009 + key)
             best = _sample_bases(
-                best, seeds[0], search, _sampled_pivots(m, key),
-                meter, share, rng, table,
+                best, seeds[0], search, _sampled_pivots(m, key), meter, share, table
             )
             best = _descend(best, rels, meter, share, table)
         nums, den = best.block

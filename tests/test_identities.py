@@ -410,6 +410,19 @@ def test_table_rejects_unknown_mode():
         table_counts(5, "bogus")
 
 
+def test_series_term_checks_the_regime_before_assembling(monkeypatch):
+    # An unknown regime is refused before any series term is built: it
+    # once waited for symmetric_bch_term(9), 0.9 s, to raise.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("assembled a term for an unknown regime")
+
+    monkeypatch.setattr(identities, "symmetric_bch_term", unreachable)
+    monkeypatch.setattr(identities, "bch_term", unreachable)
+    for variant in ("plain", "symmetric"):
+        with pytest.raises(ValueError, match="unknown regime"):
+            series_term(9, "bogus", variant)
+
+
 def test_series_term_dispatch():
     for m in (4, 6):
         e = bch_term(m, 2)
@@ -480,43 +493,58 @@ def test_compact_reduce_library_pin():
 def _search_to_the_meter(monkeypatch) -> None:
     # Turn off the stop at a best proven rank-first, which changes no result
     # (test_proven_stop_changes_no_result) but ends a search before its
-    # meter runs out: tests that pin the generator's draws, or count what
-    # sampled bases learn and clear, see every block search to its meter.
+    # meter runs out: tests that pin how many samples each search reaches,
+    # or count what sampled bases learn and clear, see every block search
+    # to its meter.
     monkeypatch.setattr(compaction, "_proven_first", lambda *args: False)
 
 
+def _count_samples(monkeypatch) -> list[list[int]]:
+    # Record, for each block search that samples bases, its X-count and the
+    # number of samples it reaches, in search order.
+    searches: list[list[int]] = []
+    sample_bases, sample_cols = compaction._sample_bases, compaction._sample_cols
+
+    def scoped(*args):
+        searches.append([args[2].comms[0].count(0), 0])
+        return sample_bases(*args)
+
+    def counted(*args):
+        searches[-1][1] += 1
+        return sample_cols(*args)
+
+    monkeypatch.setattr(compaction, "_sample_bases", scoped)
+    monkeypatch.setattr(compaction, "_sample_cols", counted)
+    return searches
+
+
 def _budget_pin_lines(monkeypatch, exprs, budgets) -> list[str]:
-    # One line per budget and expression: the compaction, then the next
-    # draw of every block's generator.  Each block's search draws from its
-    # own generator for as long as its meter allows, so the draws record
-    # where every search stopped, also where the result does not show it.
-    rngs: list[random.Random] = []
-
-    class Recorded(random.Random):
-        def __init__(self, seed: int) -> None:
-            super().__init__(seed)
-            rngs.append(self)
-
-    monkeypatch.setattr(compaction.random, "Random", Recorded)
+    # One line per budget and expression: the compaction, then the samples
+    # reached by every block search, by X-count.  Each block's search
+    # samples for as long as its meter allows, so the counts record where
+    # every search stopped, also where the result does not show it.
+    searches = _count_samples(monkeypatch)
     lines = []
     for budget in budgets:
         for m, expr in exprs:
-            rngs.clear()
+            searches.clear()
             out = compact_reduce(expr, m, budget)
             assert expand_lie(out) == expand_lie(expr)
-            draws = " ".join(str(r.getrandbits(32)) for r in rngs)
-            lines.append(f"{budget} {_compaction_line(out)} | {draws}")
+            counts = " ".join(f"{key}:{n}" for key, n in searches)
+            lines.append(f"{budget} {_compaction_line(out)} | {counts}")
     return lines
 
 
 # sha256 of the compactions of eight seeded grade 6-7 expressions and of
 # bch_term(6) and bch_term(7) at budgets that cut the search off within its
-# first few sampled bases and descent steps, each line followed by the next
-# draw of every block's generator; run without the rank-first stop.  Frozen
-# from the search that re-ran every descent step, and frozen again when the
-# random walk after sampling was deleted: every compaction stayed the same,
-# and only the next draws moved.
-SMALL_BUDGET_PIN = "b6bdbb76a550ca835aae86de6325ac1f3976f8720c312e62dec73cc0d1dd7cd3"
+# first few sampled bases and descent steps, each line followed by the
+# samples reached by every block search; run without the rank-first stop.
+# Frozen from the search that re-ran every descent step, frozen again when
+# the random walk after sampling was deleted (every compaction stayed the
+# same), and frozen as sample counts when each block's generator moved into
+# its sample list: each count, as shuffles of a fresh generator, gave the
+# next draw the pin recorded before.
+SMALL_BUDGET_PIN = "41055aa679af7f194ad6132e6f57d8cf4ae7cba4bc97b1c74441c8bc9c7f2bed"
 
 
 def test_compact_reduce_small_budget_pin(monkeypatch):
@@ -529,12 +557,14 @@ def test_compact_reduce_small_budget_pin(monkeypatch):
 
 # sha256 of the compactions of nine seeded grade 4-6 expressions and of
 # bch_term(4..6) at budgets where sampled bases repeat a pivot set many
-# times and the budget cuts a descent short, each line followed by the next
-# draw of every block's generator; run without the rank-first stop.  Frozen
-# from the search that cleared and descended again for every sample, and
-# frozen again when the random walk after sampling was deleted: every
-# compaction stayed the same, and only the next draws moved.
-REPEATED_BASES_PIN = "54852a2de2b798707cde60b813d83fd7a30514f80128ebfb0fe6457cb287708d"
+# times and the budget cuts a descent short, each line followed by the
+# samples reached by every block search; run without the rank-first stop.
+# Frozen from the search that cleared and descended again for every sample,
+# frozen again when the random walk after sampling was deleted (every
+# compaction stayed the same), and frozen as sample counts when each block's
+# generator moved into its sample list: each count, as shuffles of a fresh
+# generator, gave the next draw the pin recorded before.
+REPEATED_BASES_PIN = "cf14f2a545a62454990f141dae3c6e55a2435809f56d5d7168b1e91b19602891"
 
 
 def test_compact_reduce_repeated_bases_pin(monkeypatch):
@@ -581,38 +611,81 @@ def test_compact_search_draws_only_shuffles(monkeypatch):
     assert "randrange" not in calls and "random" not in calls
 
 
-def test_warm_search_skips_the_shuffles_of_known_samples(monkeypatch):
-    # A search skips the shuffle of every sample whose pivot set the
-    # process knows, and its generator still ends where those shuffles would
-    # have left it: a warm repeat of a cold search shuffles nothing and
-    # gives the same result and the same next draw of every generator.
-    # Before the skip, the warm search shuffled as often as the cold one.
-    _search_to_the_meter(monkeypatch)
-    shuffles = [0]
-    rngs: list[random.Random] = []
-
+def _record_generators(monkeypatch):
+    # Make every generator one that records its seed and counts its
+    # shuffles, and forget the sample lists, and with them the generators,
+    # that searches made before.
     class Recorded(random.Random):
+        seeds: list[int] = []
+        shuffles = [0]
+
         def __init__(self, seed: int) -> None:
             super().__init__(seed)
-            rngs.append(self)
+            Recorded.seeds.append(seed)
 
         def shuffle(self, x):
-            shuffles[0] += 1
+            Recorded.shuffles[0] += 1
             return super().shuffle(x)
 
     monkeypatch.setattr(compaction.random, "Random", Recorded)
     compaction._sampled_pivots.cache_clear()
+    return Recorded
+
+
+def test_warm_search_skips_the_shuffles_of_known_samples(monkeypatch):
+    # A search reads the pivot set of every sample the process knows from
+    # its block's list: a warm repeat of a cold search gives the same
+    # result, reaches as many samples in every block, shuffles nothing and
+    # makes no generator.  Before the skip, the warm search shuffled as
+    # often as the cold one, and before each block's generator moved into
+    # its sample list, every search made one.
+    _search_to_the_meter(monkeypatch)
+    recorded = _record_generators(monkeypatch)
+    searches = _count_samples(monkeypatch)
     e = bch_term(7, 2)
     runs = []
     for _ in range(2):
-        shuffles[0] = 0
-        rngs.clear()
+        searches.clear()
+        recorded.seeds.clear()
+        recorded.shuffles[0] = 0
         out = compact_reduce(e, 7)
-        runs.append((list(out.terms.items()), [r.getrandbits(32) for r in rngs]))
-        runs.append(shuffles[0])
-    cold, cold_shuffles, warm, warm_shuffles = runs
-    assert warm == cold
-    assert cold_shuffles > 0 and warm_shuffles == 0
+        runs.append(
+            (list(out.terms.items()), [tuple(s) for s in searches],
+             recorded.shuffles[0], len(recorded.seeds))
+        )
+    (cold, cold_counts, cold_shuffles, cold_made), warm = runs
+    assert warm[:2] == (cold, cold_counts)
+    assert cold_shuffles > 0 and cold_made > 0
+    assert warm[2:] == (0, 0)
+
+
+def test_one_generator_per_block_per_process(monkeypatch):
+    # Each sampled block's generator belongs to its sample list, made once
+    # per process, and seeded by the grade and the X-count: cold searches
+    # of grades 6-8, some blocks searched more than once, make exactly one
+    # per block that samples, and a warm repeat makes none and shuffles
+    # none.  Before, every block search seeded a generator of its own.
+    exprs = [(m, bch_term(m, 2)) for m in (6, 7, 8)] + _seeded_exprs(6019, 3, (6, 7, 8))
+    recorded = _record_generators(monkeypatch)
+    sampled = []
+    sample_bases = compaction._sample_bases
+
+    def scoped(*args):
+        comm = args[2].comms[0]
+        sampled.append(len(comm) * 1009 + comm.count(0))
+        return sample_bases(*args)
+
+    monkeypatch.setattr(compaction, "_sample_bases", scoped)
+    for m, expr in exprs:
+        compact_reduce(expr, m)
+    assert len(sampled) > len(set(sampled)) > 0
+    assert sorted(recorded.seeds) == sorted(set(sampled))
+    assert recorded.shuffles[0] > 0
+    recorded.seeds.clear()
+    recorded.shuffles[0] = 0
+    for m, expr in exprs:
+        compact_reduce(expr, m)
+    assert recorded.seeds == [] and recorded.shuffles == [0]
 
 
 def test_proven_stop_changes_no_result(monkeypatch):
@@ -1173,12 +1246,12 @@ def _pivot_set_counts(m: int) -> dict[int, int]:
 
 
 def test_known_pivot_sets_change_no_result(monkeypatch):
-    # Every search of a block draws the same shuffles, so the k-th sampled
-    # pivot set one search learns serves every later one.  Whatever the
-    # process has learned, a search gives the same result and stops its
-    # meter at the same draw: with nothing learned, with part of what it
-    # needs learned by a budget-100 search, and after a default-budget
-    # search of another expression.
+    # The k-th sampled pivot set is the one the k-th shuffle of a generator
+    # seeded alike picks, so the one a search learns serves every later one.
+    # Whatever the process has learned, a search gives the same result and
+    # reaches the same samples in every block: with nothing learned, with
+    # part of what it needs learned by a budget-100 search, and after a
+    # default-budget search of another expression.
     _search_to_the_meter(monkeypatch)
     m = 7
     (_, expr), (_, other) = _seeded_exprs(7012, 2, (m,))
