@@ -7,8 +7,9 @@ commutator with j X's only touches words with j X's, so elimination runs per
 letter multidegree: a sparse pass walks each block's commutators in lex
 order and yields the commutator basis (the lexicographically first
 independent subset) and the complete identity list.  The pass runs on
-integer word codes, each word one int that sorts as the word does, and
-decodes only the identities' commutators.  The dense expansion
+integer word codes, each word one int that sorts as the word does, keeps
+only the Lyndon-word columns, which determine a Lie polynomial, and decodes
+only the identities' commutators.  The dense expansion
 matrix, augmented with an identity block, and its reduced form are built
 only on demand, for the grade-4 worked example.
 
@@ -182,9 +183,39 @@ def _expand_code(leaves: Leaves) -> dict[int, int]:
     return poly
 
 
+def _lyndon_codes(m: int) -> set[int]:
+    """The ``_expand_code`` codes of the two-letter Lyndon words of length m.
+
+    Duval's algorithm: each Lyndon word of length at most m in lex order is
+    the last one repeated out to length m, with its trailing greatest
+    letters dropped and the last letter left raised by one.
+    """
+    codes = set()
+    word = [-1]
+    while word:
+        word[-1] += 1
+        if len(word) == m:
+            codes.add(int("1" + "".join(map(str, word)), 2))
+        period = len(word)
+        while len(word) < m:
+            word.append(word[-period])
+        while word and word[-1] == 1:
+            word.pop()
+    return codes
+
+
 @lru_cache(maxsize=None)
 def identities_and_basis(m: int) -> IdentityReport:
-    """Discover the commutator basis and all linear identities at grade m."""
+    """Discover the commutator basis and all linear identities at grade m.
+
+    Elimination keeps only the Lyndon-word columns of each expansion.  A Lie
+    polynomial is determined by its coefficients on Lyndon words: each
+    Lyndon basis element P_w expands to w plus lex-greater words, so those
+    coefficients are unitriangular on the Lyndon basis (Reutenauer, *Free
+    Lie Algebras*, 1993).  A combination of commutators is therefore zero
+    exactly when its Lyndon-word coefficients are, and dropping the other
+    columns changes no basis commutator and no identity.
+    """
     comms = enumerate_nested(m)
     blocks: dict[int, list[Leaves]] = {}
     for c in comms:
@@ -193,16 +224,17 @@ def identities_and_basis(m: int) -> IdentityReport:
     basis: list[Leaves] = []
     identities: list[LieExpr] = []
     tags = 2 << m
+    lyndon = _lyndon_codes(m)
     for key in sorted(blocks):
         # In-order elimination over the block's commutators in lex order, on
-        # ``_expand_code`` rows.  A row holds c's word expansion plus c itself
-        # under a tag, 2 << m plus c's code, which sorts after every word; a
-        # row left with tags only is an identity, its terms in the order
-        # elimination added them.
+        # ``_expand_code`` rows.  A row holds c's word expansion on Lyndon
+        # words plus c itself under a tag, 2 << m plus c's code, which sorts
+        # after every word; a row left with tags only is an identity, its
+        # terms in the order elimination added them.
         pivots: dict[int, dict[int, int]] = {}
         names: dict[int, Leaves] = {}
         for c in blocks[key]:
-            row = _expand_code(c)
+            row = {w: v for w, v in _expand_code(c).items() if w in lyndon}
             tag = tags | int("1" + "".join(map(str, c)), 2)
             names[tag] = c
             row[tag] = 1

@@ -23,15 +23,20 @@ warm library searches slower and changed their results, and dropping that
 last descent changed them too.  Each block's search interns the blocks it
 meets, one node per distinct value keyed by its sorted values, which holds
 the node's descent step, so no step or sampled basis's descent is computed
-twice.  One routine, ``_pivot_set``, picks every basis the search uses from
-the commutators' coordinates; by matroid duality it leaves out the pivots an
-echelon pass over the identities takes in the reverse order.  Each block has
-one random generator per process, seeded by the grade and the X-count, owned
-by the list of the pivot sets its shuffles picked: the k-th sampled basis is
-the one its k-th shuffle picks, the same in every search, so the process
-learns it once, as one int, and the generator draws only the shuffles of
-samples no search has reached yet.  Every pivot set is cleared one way, from
-the basis rewrite with the identities the set leaves free.  A block's search
+twice.  A descent step sizes all moves of one identity in one pass over
+its ratio weights, L / v for each of its values v, with L the lcm of their
+sizes: a move cancels exactly the terms whose values times weights equal
+those of the term it clears, so sizing costs one int product per term the
+identity shares with the block.  One routine, ``_pivot_set``, picks every
+basis the search uses from the commutators' coordinates; by matroid
+duality it leaves out the pivots an echelon pass over the identities takes
+in the reverse order.  Each block has one random generator per process,
+seeded by the grade and the X-count, owned by the list of the pivot sets
+its shuffles picked: the k-th sampled basis is the one its k-th shuffle
+picks, the same in every search, so the process learns it once, as one
+int, and the generator draws only the shuffles of samples no search has
+reached yet.  Every pivot set is cleared one way, from the basis rewrite
+with the identities the set leaves free.  A block's search
 stops once its best is proven to rank first among the block's
 representations of the same element: an integer walk over the independent
 sets of at most as many parallel classes as the best has terms, tried only
@@ -49,7 +54,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Literal, NamedTuple, Sequence
 
 from bchnest.identities import (
@@ -77,12 +82,11 @@ Block = tuple[dict[int, int], int]
 Key = tuple[tuple[int, ...], int]
 
 # A relation of a block search: a primitive identity on commutator indices,
-# the bitmask of its support and its least index.
-Relation = tuple[dict[int, int], int, int]
-
-# A move of one relation from a block, as ``_relation_moves`` gives it: the
-# index it clears, the size change and the index of the distinct move.
-Move = tuple[int, int, int]
+# the bitmask of its support, its least index, and its ratio weights: each
+# (index, L // v) for its value v there, in its order, where L is the lcm
+# of its values' sizes.  Two indices k, j hold equal ratios t_k / v_k and
+# t_j / v_j in a block exactly when t_k * w_k == t_j * w_j.
+Relation = tuple[dict[int, int], int, int, tuple[tuple[int, int], ...]]
 
 
 class _SearchBlock(NamedTuple):
@@ -167,31 +171,6 @@ def _ranks_before(a: Key, b: Key) -> bool:
     return False
 
 
-def _relation_moves(nums: dict[int, int], rel: dict[int, int]) -> list[Move]:
-    # The moves t -> t - (t_c / r_c) * r of one relation, one per key c of
-    # rel held in nums, in rel's order: (c, size change, move index).  Keys
-    # with equal ratio t_k / r_k give the same move, which cancels exactly
-    # those keys and adds every key of rel that nums lacks, so one pass over
-    # rel sizes them all.  Move indices count distinct moves in order of
-    # first appearance.
-    added = 0
-    shared: list[tuple[int, list[int]]] = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, v in rel.items():
-        t = nums.get(k)
-        if t is None:
-            added += 1
-            continue
-        g = gcd(t, v) if v > 0 else -gcd(t, v)
-        ratio = t // g, v // g
-        group = groups.get(ratio)
-        if group is None:
-            group = groups[ratio] = [len(groups), 0]
-        group[1] += 1
-        shared.append((k, group))
-    return [(k, added - cancelled, index) for k, (index, cancelled) in shared]
-
-
 def _move(block: Block, rel: dict[int, int], col: int) -> Block:
     nums = dict(block[0])
     return nums, _eliminate(nums, rel, col, block[1])
@@ -199,43 +178,63 @@ def _move(block: Block, rel: dict[int, int], col: int) -> Block:
 
 def _step(node: _Node, rels: Sequence[Relation], table: Table) -> _Node | None:
     # One steepest-descent step: the node of the single-relation move that
-    # ranks first, or None if none ranks before node's block.  Blocks rank
-    # by size first, so only the distinct moves of the least size count; a
-    # relation is skipped when cancelling every key it shares with the
-    # block still grows it past that size.  Only the candidates left are
-    # built, and the first in rank is the step whatever order they are met
-    # in: a function of the block's values alone, whatever its key order.
+    # ranks first, or None if none ranks before node's block.  The move
+    # t -> t - (t_c / r_c) * r at key c cancels exactly the shared keys k of
+    # equal ratio t_k / r_k, those of equal t_k * w_k with the relation's
+    # ratio weights, and adds every key of r the block lacks; so one pass
+    # over the weights sizes all of a relation's distinct moves, each taken
+    # at the first key it cancels.  Blocks rank by size first, so only the
+    # distinct moves of the least size count; a relation is skipped when
+    # cancelling every key it shares with the block still grows it past
+    # that size.  While no move shortens the block, a move is kept only if
+    # it ranks before the block, and only at the least low met: a move
+    # changes exactly its relation's keys, so it ranks before the block iff
+    # at the least of them, low, it adds a term or leaves t - x / r with
+    # 0 < x / r != t, where t = nums[low], x = nums[col] * rel[low] and
+    # r = rel[col], and such a move also ranks before every such move of a
+    # larger low.  Only the moves kept are built, and the first in rank is
+    # the step whatever order they are met in: a function of the block's
+    # values alone, whatever its key order.
     nums = node.block[0]
+    get = nums.get
     mask = sum(1 << k for k in nums)
     least = 0
-    fewest: list[tuple[dict[int, int], int, int]] = []
-    for rel, support, low in rels:
-        if len(rel) - 2 * (mask & support).bit_count() > least:
+    lowest: int | None = None
+    fewest: list[tuple[dict[int, int], int]] = []
+    for rel, support, low, weights in rels:
+        shared = (mask & support).bit_count()
+        added = len(rel) - shared
+        if added - shared > least:
             continue
-        seen = 0
-        for col, delta, index in _relation_moves(nums, rel):
-            if index < seen:
+        # Each distinct move's first key by its ratio t * w, and the number
+        # of keys cancelled by each move that cancels more than one.
+        firsts: dict[int, int] = {}
+        counts: dict[int, int] = {}
+        for k, w in weights:
+            t = get(k)
+            if t is not None:
+                ratio = t * w
+                if ratio in firsts:
+                    counts[ratio] = counts.get(ratio, 1) + 1
+                else:
+                    firsts[ratio] = k
+        for ratio, col in firsts.items():
+            delta = added - counts.get(ratio, 1)
+            if delta > least:
                 continue
-            seen += 1
             if delta < least:
-                least, fewest = delta, [(rel, col, low)]
-            elif delta == least:
-                fewest.append((rel, col, low))
-    if not least:
-        # No move shortens the block.  A move changes exactly its
-        # relation's keys, so it ranks before the block iff at the least of
-        # them, low, it adds a term or leaves t - x / r with 0 < x / r != t,
-        # where t = nums[low], x = nums[col] * rel[low] and r = rel[col].
-        # Such a move also ranks before every such move of a larger low.
-        lowers = []
-        for rel, col, low in fewest:
-            t, x, r = nums.get(low), nums[col] * rel[low], rel[col]
-            if t is None or (x * r > 0 and x != t * r):
-                lowers.append((rel, col, low))
-        lowest = min((low for _, _, low in lowers), default=None)
-        fewest = [move for move in lowers if move[2] == lowest]
+                least, fewest = delta, [(rel, col)]
+            elif least:
+                fewest.append((rel, col))
+            elif lowest is None or low <= lowest:
+                t, x, r = get(low), nums[col] * rel[low], rel[col]
+                if t is None or (x * r > 0 and x != t * r):
+                    if low == lowest:
+                        fewest.append((rel, col))
+                    else:
+                        lowest, fewest = low, [(rel, col)]
     best: tuple[Block, Key] | None = None
-    for rel, col, _ in fewest:
+    for rel, col in fewest:
         move = _move(node.block, rel, col)
         key = _key(move)
         if best is None or _ranks_before(key, best[1]):
@@ -266,6 +265,12 @@ def _descend(
     return node
 
 
+def _weights(rel: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    # A relation's ratio weights (see Relation).
+    scale = lcm(*map(abs, rel.values()))
+    return tuple((k, scale // v) for k, v in rel.items())
+
+
 @lru_cache(maxsize=None)
 def _search_blocks(m: int) -> dict[int, _SearchBlock]:
     # The X-count blocks of grade m that hold an identity, by X-count.
@@ -285,7 +290,9 @@ def _search_blocks(m: int) -> dict[int, _SearchBlock]:
             for table in tables
         )
         solved = rules[0]
-        rels = tuple((r, sum(1 << i for i in r), min(r)) for r in solved.values())
+        rels = tuple(
+            (r, sum(1 << i for i in r), min(r), _weights(r)) for r in solved.values()
+        )
         support = tuple(sorted({i for r in solved.values() for i in r}))
         dependents = sum(1 << d for d in solved)
         coords = {
@@ -370,7 +377,7 @@ def _sampled_block(base: Block, search: _SearchBlock, cols: int) -> Block:
     # cols may use only the relations whose dependent commutator is not in
     # cols, and those need only clear cols' basis commutators.
     free = [
-        dict(r) for r, support, _ in search.rels
+        dict(r) for r, support, _, _ in search.rels
         if not cols >> (support.bit_length() - 1) & 1
     ]
     basis_cols = cols & ~search.dependents
@@ -516,11 +523,13 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     taken at its least index, and is tried only when there are no more such
     sets than meter steps left.  Since the best is replaced only by a block
     that ranks before it, the stop changes no result.  All moves of one
-    relation are sized in one pass, by the terms they would cancel; a
-    descent step skips a relation sharing too few terms with its block, and
-    builds only moves that can rank first.  Each block's search keeps a
-    table of the blocks it meets, one node per distinct value with its
-    descent step, and drops it when the block is done: a descent that
+    relation are sized in one pass over its ratio weights, L / v for each
+    of its values v with L the lcm of their sizes: a move cancels exactly
+    the terms whose values times weights equal those of the term it
+    clears.  A descent step skips a relation sharing too few terms with its
+    block, and builds only moves that can rank first.  Each block's search
+    keeps a table of the blocks it meets, one node per distinct value with
+    its descent step, and drops it when the block is done: a descent that
     reaches a node stepped from before follows the stored steps, metered as
     if taken again.  Every basis the search picks, the seed's, a sampled one
     or one in the proof, is the lex-first independent subset of the

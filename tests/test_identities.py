@@ -4,6 +4,7 @@ import copy
 import cProfile
 import gc
 import hashlib
+import math
 import pstats
 import random
 import sys
@@ -200,6 +201,29 @@ def test_identities_expand_each_commutator_once(monkeypatch):
     identities_and_basis.cache_clear()
     identities_and_basis(10)
     assert len(calls) == len(enumerate_nested(10)) == 256
+
+
+def test_lyndon_columns_change_no_basis_or_identity(monkeypatch):
+    # Elimination on Lyndon-word columns gives the basis, the identity
+    # values and their term order of elimination on every word column, and
+    # there are as many Lyndon words as basis commutators.  The codes are
+    # those of the words smaller than each of their proper suffixes.
+    filtered = {m: identities_and_basis(m) for m in range(2, 11)}
+    for m, report in filtered.items():
+        codes = identities._lyndon_codes(m)
+        assert len(codes) == len(report.basis)
+        assert codes == {
+            int("1" + "".join(map(str, w)), 2)
+            for w in product((0, 1), repeat=m)
+            if all(w < w[i:] for i in range(1, m))
+        }
+    monkeypatch.setattr(identities, "_lyndon_codes", lambda m: range(2 << m))
+    for m, report in filtered.items():
+        every = identities_and_basis.__wrapped__(m)
+        assert every.basis == report.basis
+        assert [list(e.terms.items()) for e in every.identities] == [
+            list(e.terms.items()) for e in report.identities
+        ]
 
 
 def _decoded(code: int) -> tuple[int, ...]:
@@ -576,6 +600,21 @@ def test_compact_reduce_repeated_bases_pin(monkeypatch):
     assert digest == REPEATED_BASES_PIN
 
 
+# sha256 of the budget-1000 compactions of thirty seeded grade 6-8
+# expressions, shaped like the library benchmark's, each line followed by
+# the samples reached by every block search; run with the rank-first stop,
+# so it pins where each search stopped, proven or metered, as well as its
+# result.  Frozen before descent steps sized moves by ratio weights.
+LIBRARY_SEARCH_PIN = "460888c9536cb09f2d010f56ead5b33e06bcebc7f9426ade9598569e62f7d330"
+
+
+def test_compact_reduce_library_search_pin(monkeypatch):
+    exprs = _seeded_exprs(8021, 30, (6, 7, 8))
+    lines = _budget_pin_lines(monkeypatch, exprs, (1000,))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LIBRARY_SEARCH_PIN
+
+
 def test_compact_search_draws_only_shuffles(monkeypatch):
     # Each block's generator picks sampled bases and nothing else: the
     # search shuffles, and draws no index or float as a random walk would.
@@ -845,15 +884,38 @@ def test_compact_search_probes_few_moves(monkeypatch):
     assert 0 < calls[0] <= 1_700
 
 
+def _weights_counted(calls):
+    # A wrap for _warm_compaction's _search_blocks whose relations count
+    # into calls[0] each pass over their ratio weights: one per relation a
+    # descent step sizes.
+    class Counted(tuple):
+        def __iter__(self):
+            calls[0] += 1
+            return super().__iter__()
+
+    def wrap(real):
+        def counted(m):
+            return {
+                key: block._replace(rels=tuple(
+                    (rel, support, low, Counted(weights))
+                    for rel, support, low, weights in block.rels
+                ))
+                for key, block in real(m).items()
+            }
+        return counted
+    return wrap
+
+
 def test_compact_search_sizes_few_relations(monkeypatch):
     # Relations sized, by descent steps and, before it was deleted, by a
     # random walk after sampling: 9 143 when a step sized every relation of
     # its block, 4 212 once it skipped a relation whose shared keys are too
     # few to reach the least size change, 3 252 with the rank-first stop,
     # 2 497 by descent steps alone, and 62 once the proof walked parallel
-    # classes.
+    # classes, counted as calls of the gcd-ratio sizing before steps sized
+    # moves on ratio weights, and as passes over the weights since.
     calls = [0]
-    _warm_compaction(monkeypatch, 8, _relation_moves=_counted(calls))
+    _warm_compaction(monkeypatch, 8, _search_blocks=_weights_counted(calls))
     assert 0 < calls[0] <= 4_500
 
 
@@ -907,6 +969,32 @@ def _first_by_every_support(search, block, node_key):
     return True
 
 
+def _relation_moves(nums, rel):
+    # The gcd-ratio sizing that descent steps used before ratio weights,
+    # kept as an oracle.  The moves t -> t - (t_c / r_c) * r of one
+    # relation, one per key c of rel held in nums, in rel's order: (c, size
+    # change, move index).  Keys with equal ratio t_k / r_k give the same
+    # move, which cancels exactly those keys and adds every key of rel that
+    # nums lacks.  Move indices count distinct moves in order of first
+    # appearance.
+    added = 0
+    shared = []
+    groups = {}
+    for k, v in rel.items():
+        t = nums.get(k)
+        if t is None:
+            added += 1
+            continue
+        g = math.gcd(t, v) if v > 0 else -math.gcd(t, v)
+        ratio = t // g, v // g
+        group = groups.get(ratio)
+        if group is None:
+            group = groups[ratio] = [len(groups), 0]
+        group[1] += 1
+        shared.append((k, group))
+    return [(k, added - cancelled, index) for k, (index, cancelled) in shared]
+
+
 def _tried_blocks(search, rng, most):
     # A random block on at most `most` of search's commutators, its basis
     # rewrite base, and the blocks a proof test tries: base, its descent and
@@ -916,15 +1004,15 @@ def _tried_blocks(search, rng, most):
         i: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
         for i in rng.sample(range(n), rng.randint(1, most))
     })
-    base = identities._cleared(start, {max(r): r for r, _, _ in search.rels})
+    base = identities._cleared(start, {max(r): r for r, *_ in search.rels})
     table = {}
     descended = compaction._descend(
         compaction._node(table, base), search.rels, [0], 100, table
     )
     tried = [base, descended.block]
     for block in tried[:2]:
-        for rel, _, _ in search.rels:
-            for col, _, _ in compaction._relation_moves(block[0], rel):
+        for rel, *_ in search.rels:
+            for col, _, _ in _relation_moves(block[0], rel):
                 tried.append(compaction._move(block, rel, col))
     return base, tried
 
@@ -1093,7 +1181,7 @@ def _full_ranking_step(block, rels):
     fewest = []
     for rel in rels:
         seen = 0
-        for col, delta, index in compaction._relation_moves(nums, rel):
+        for col, delta, index in _relation_moves(nums, rel):
             if index < seen:
                 continue
             seen += 1
@@ -1110,22 +1198,58 @@ def _full_ranking_step(block, rels):
     return (None if best is block else best), len(fewest)
 
 
+def _unequal_group(block, rels):
+    # Whether some move of some relation cancels keys whose relation entries
+    # differ in size: equal ratios there need the lcm in the ratio weights.
+    nums = block[0]
+    for rel in rels:
+        groups = {}
+        for k, v in rel.items():
+            if k in nums:
+                ratio = F(nums[k], v)
+                groups.setdefault(ratio, set()).add(abs(v))
+        if any(len(sizes) > 1 for sizes in groups.values()):
+            return True
+    return False
+
+
 def test_step_matches_the_full_ranking():
-    # On random blocks of every search block at grades 6-9, small values
-    # so that moves often cancel as many keys as they add, the step equals
-    # the one that builds and ranks every least-size move.
+    # On random blocks of every search block at grades 6-10 the step equals
+    # the one that sizes moves by the gcd-ratio oracle and builds and ranks
+    # every least-size move.  Small values make moves often cancel as many
+    # keys as they add.  Wide ones, numerators up to 50 in size over
+    # denominators 1..12 plus a multiple of one relation, make moves that
+    # cancel several keys of unequal relation entries, which the ratio
+    # weights must group alike.
     rng = random.Random(6011)
-    kinds = dict.fromkeys(("shorter", "same size", "tie", "none", "untouched"), 0)
-    for m in range(6, 10):
+    wide = random.Random(6029)
+    numerators = [n for n in range(-50, 51) if n]
+    kinds = dict.fromkeys(
+        ("shorter", "same size", "tie", "none", "untouched", "unequal"), 0
+    )
+    for m in range(6, 11):
         for search_block in compaction._search_blocks(m).values():
-            rels = [rel for rel, _, _ in search_block.rels]
+            rels = [rel for rel, *_ in search_block.rels]
             touched = {i for rel in rels for i in rel}
             n = len(search_block.comms)
+            blocks = []
             for _ in range(40):
-                block = identities._to_int({
+                blocks.append(identities._to_int({
                     i: F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 1, 2, 3)))
                     for i in rng.sample(range(n), rng.randint(1, n))
-                })
+                }))
+            for _ in range(20):
+                terms = {
+                    i: F(wide.choice(numerators), wide.randint(1, 12))
+                    for i in wide.sample(range(n), wide.randint(1, n))
+                }
+                scale = F(wide.choice(numerators), wide.randint(1, 12))
+                for k, v in wide.choice(rels).items():
+                    terms[k] = terms.get(k, 0) + scale * v
+                blocks.append(identities._to_int({k: v for k, v in terms.items() if v}))
+            for block in blocks:
+                if not block[0]:
+                    continue
                 want, built = _full_ranking_step(block, rels)
                 node = compaction._node({}, block)
                 got = compaction._step(node, search_block.rels, {})
@@ -1138,6 +1262,7 @@ def test_step_matches_the_full_ranking():
                     kinds["same size"] += 1
                     kinds["tie"] += built > 1
                 kinds["untouched"] += not touched.issuperset(block[0])
+                kinds["unequal"] += _unequal_group(block, rels)
     assert min(kinds.values()) >= 20, kinds
 
 
@@ -1229,9 +1354,9 @@ def test_sampled_basis_needs_no_back_substitution():
                 assert (nums, den) == identities._cleared(start, reduced)
                 base = identities._cleared(
                     ({index[c]: v for c, v in start[0].items()}, start[1]),
-                    {max(r): r for r, _, _ in search.rels},
+                    {max(r): r for r, *_ in search.rels},
                 )
-                assert not base[0].keys() & {max(r) for r, _, _ in search.rels}
+                assert not base[0].keys() & {max(r) for r, *_ in search.rels}
                 cols = sum(1 << index[c] for c in echelon)
                 freed = compaction._sampled_block(base, search, cols)
                 assert freed == ({index[c]: v for c, v in nums.items()}, den)
@@ -1272,7 +1397,7 @@ def test_known_pivot_sets_change_no_result(monkeypatch):
         for cols in compaction._sampled_pivots(m, key):
             perm = list(search.support)
             rng.shuffle(perm)
-            rows = [dict(r) for r, _, _ in search.rels]
+            rows = [dict(r) for r, *_ in search.rels]
             pivots = identities._echelon(rows, reversed(perm))
             assert cols == sum(1 << i for i in pivots)
 
@@ -1364,7 +1489,7 @@ def test_pivot_set_is_the_dual_of_the_relation_echelon():
             nums = {i: values.randint(-9, 9) for i in values.sample(range(n), n // 2)}
             orders.append(sorted(search.support, key=lambda i: abs(nums.get(i, 0))))
             for order in orders:
-                rows = [dict(r) for r, _, _ in search.rels]
+                rows = [dict(r) for r, *_ in search.rels]
                 pivots = identities._echelon(rows, reversed(order))
                 cols = sum(1 << i for i in pivots)
                 assert compaction._pivot_set(search, order) == cols, (m, key, order)

@@ -39,8 +39,8 @@ SEARCH_ONLY = (
     "_move",
     "_pivot_set",
     "_proven_first",
-    "_relation_moves",
     "_sample_bases",
+    "_sample_cols",
     "_sampled_block",
     "_sampled_pivots",
     "_search_blocks",
