@@ -40,7 +40,15 @@ from bchnest.identities import (
     table_counts,
 )
 from bchnest.series import bch_term, bch_term_dynkin, log_product
-from bchnest.terms import AssocPoly, Leaves, LieExpr, Word, accumulate, expand_lie
+from bchnest.terms import (
+    AssocPoly,
+    Leaves,
+    LieExpr,
+    Word,
+    accumulate,
+    expand_lie,
+    expand_nested,
+)
 
 GRADE_CAP = 10
 GENERATORS = "XYZWVUTSRQ"
@@ -312,11 +320,21 @@ def cmd_identities(args: argparse.Namespace) -> str:
                 f"grade {args.grade} basis disagrees with Witt's formula; "
                 "refusing to print"
             )
-        if any(expand_lie(ident) for ident in report.identities):
-            raise VerificationError(
-                f"grade {args.grade} identity does not expand to zero; "
-                "refusing to print"
-            )
+        # Each commutator's word expansion, through expand_nested as
+        # expand_lie would, made once per run however many identities
+        # hold it; the check stays independent of the elimination.
+        words: dict[Leaves, dict[Word, Fraction]] = {}
+        for ident in report.identities:
+            total: dict[Word, Fraction] = {}
+            for leaves, c in ident.terms.items():
+                if leaves not in words:
+                    words[leaves] = expand_nested(leaves).terms
+                accumulate(total, words[leaves].items(), c)
+            if total:
+                raise VerificationError(
+                    f"grade {args.grade} identity does not expand to zero; "
+                    "refusing to print"
+                )
         if _novel_count(report) != _witt_novel(args.grade):
             raise VerificationError(
                 f"grade {args.grade} novel identity count disagrees with "

@@ -38,13 +38,18 @@ int, and the generator draws only the shuffles of samples no search has
 reached yet.  Every pivot set is cleared one way, from the basis rewrite
 with the identities the set leaves free.  A block's search
 stops once its best is proven to rank first among the block's
-representations of the same element: an integer walk over the independent
-sets of at most as many parallel classes as the best has terms, tried only
-when those sets number no more than the meter steps left.  A parallel class
-is the commutators whose coordinates span one line, walked as its least
-index, which ranks first among them.  The best is only ever replaced by a
-block that ranks before it, so the stop changes no result.  It stays exact,
-and it is deterministic for fixed inputs.
+representations of the same element, over parallel classes: the
+commutators whose coordinates span one line, each taken as its least index,
+which ranks first among them.  The proof is tried only when the independent
+sets of at most as many classes as the best has terms number no more than
+the meter steps left.  It walks those sets, or, when the C(n, d) bases of
+the n classes counted from the d dependent ones are fewer than the sets it
+would walk below that size, solves the element on every basis instead: the
+matroid dual of the walk, splitting each basis as Lee and Brickell's
+information-set step does (EUROCRYPT 1988).  Both sides decide the same.
+The best is only ever replaced by a block that ranks before it, so the stop
+changes no result.  It stays exact, and it is deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import random
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from math import comb, gcd, lcm
 from typing import Iterable, Literal, NamedTuple, Sequence
 
@@ -114,6 +119,7 @@ class _SearchBlock(NamedTuple):
     dependents: int
     coords: dict[int, dict[int, int]]
     reps: tuple[int, ...]
+    dependent_classes: tuple[Relation, ...]
 
 
 class _Node:
@@ -307,9 +313,11 @@ def _search_blocks(m: int) -> dict[int, _SearchBlock]:
             vec = coords[i]
             g = gcd(*vec.values()) * (1 if vec[min(vec)] > 0 else -1)
             classes.setdefault(tuple(sorted((j, v // g) for j, v in vec.items())), i)
+        reps = tuple(classes.values())
+        by_dependent = {max(rel[0]): rel for rel in rels}
         blocks[key] = _SearchBlock(
             tuple(comms[key]), index, rels, rules, support, dependents, coords,
-            tuple(classes.values()),
+            reps, tuple(by_dependent[i] for i in reps if i in by_dependent),
         )
     return blocks
 
@@ -395,33 +403,53 @@ def _proven_first(
     # support count.  Commutators whose coordinates are parallel span one
     # line, and moving a term from one to the least of its class, search.reps,
     # keeps the size and lowers an index: so a node holding a later member
-    # of a class is not first, and otherwise some block that ranks before
-    # node's lies on at most s classes' least members.  When they are
-    # dependent a smaller independent set among them spans the target,
-    # base's values on the support, too.  So the proof walks the
-    # independent sets of at most s of reps in increasing order, with
-    # forward echelon rows of their coordinates and the target reduced by
-    # them.  It fails when the target lies in the span of fewer than s, or
-    # of s whose least is below least, node's least position in reps.  On s
-    # whose least is least, the one equivalent block is zero off the basis
-    # ``_pivot_set`` extends them to; ``_sampled_block`` clears it from base
-    # to rank it against node's.  Sets of s whose least is above least are
-    # not walked: their block ranks after node's, or lies on a smaller set.
-    # Not tried, and False, when the sets to walk may outnumber allowance.
-    reps = search.reps
-    vectors = [search.coords[i] for i in reps]
-    n = len(vectors)
+    # of a class is not first.  Otherwise node is refuted exactly by the one
+    # representation on an independent set T of classes that spans the
+    # target, base's values on the support, when |T| < s, or |T| = s and T
+    # starts below node's least term, or starts there and its block ranks
+    # before node's: a representation on a dependent set has one with fewer
+    # terms.  Both sides below find every such T.  ``_walked_sets`` walks
+    # the independent sets of at most s classes; ``_solved_cases`` solves
+    # every basis of classes, counted from the d dependent classes.  The
+    # dependent side decides when its comb(n, d) cases are fewer than the
+    # sets the walk visits below s.  Not tried, and False, when the sets to
+    # walk may outnumber allowance.  The guard keeps the walk's count
+    # although the dependent side may solve fewer cases: a guard on the
+    # cases would try proofs the walk never did, so searches would stop at
+    # other meter steps and reach other samples, with the same results.
+    n = len(search.reps)
     nums = node.block[0]
-    held = [p for p, i in enumerate(reps) if i in nums]
     s = sum(i in search.coords for i in nums)
-    if sum(comb(n, k) for k in range(s + 1)) > allowance:
+    walked = sum(comb(n, k) for k in range(s))
+    if walked + comb(n, s) > allowance:
         return False
     target = {i: v for i, v in base[0].items() if i in search.coords}
     if not target:
         return not s
+    held = [p for p, i in enumerate(search.reps) if i in nums]
     if len(held) < s:
         return False
-    least = held[0]
+    if comb(n, len(search.dependent_classes)) < walked:
+        return _solved_cases(node, base, search, target, held)
+    return _walked_sets(node, base, search, target, held)
+
+
+def _walked_sets(
+    node: _Node, base: Block, search: _SearchBlock, target: dict[int, int],
+    held: list[int],
+) -> bool:
+    # The proof's class walk: the independent sets of at most s of reps in
+    # increasing order, with forward echelon rows of their coordinates and
+    # the target reduced by them, held being node's positions in reps.  It
+    # fails when the target lies in the span of fewer than s, or of s whose
+    # least is below least, node's least position in reps.  On s whose
+    # least is least, the one equivalent block is zero off the basis
+    # ``_pivot_set`` extends them to; ``_sampled_block`` clears it from base
+    # to rank it against node's.  Sets of s whose least is above least are
+    # not walked: their block ranks after node's, or lies on a smaller set.
+    reps = search.reps
+    vectors = [search.coords[i] for i in reps]
+    n, s, least = len(vectors), len(held), held[0]
     # The set walked, as positions in reps, its echelon rows, the target
     # reduced by each prefix of them, and the next position to try.
     chosen: list[int] = []
@@ -456,6 +484,112 @@ def _proven_first(
                 rows[col] = vec
                 rests.append(left)
         p += 1
+
+
+def _solved_cases(
+    node: _Node, base: Block, search: _SearchBlock, target: dict[int, int],
+    held: list[int],
+) -> bool:
+    # The proof from the dependent side.  Classes are r unit ones, the
+    # basis commutators, and d dependent ones, each with a relation +1 on
+    # its dependent commutator, and base is zero on every dependent
+    # commutator.  So a representation is the target less mu_D times the
+    # relation of each dependent class D: -mu_D on D, the rest on basis
+    # commutators.  Each case is a set D of j dependent classes with j basis
+    # commutators Z whose j x j minor of D's relations is nonzero: its one
+    # representation, zero on Z, lies on the basis of classes D and the
+    # units off Z.  There are sum_j C(d, j) C(r, j) = C(n, d) cases, and
+    # every independent set that spans the target extends to one of these
+    # bases, so they reach every T the walk can.  A representation whose
+    # zero set on the basis commutators has deficient rank against its
+    # dependent classes lies on a dependent set: moving along its kernel
+    # clears one of those classes, so a case with fewer dependent classes
+    # has strictly fewer terms.  So both sides decide exactly the same.
+    # j = 1 groups Z by ratio weights as ``_step`` does, j = 2 solves by
+    # Cramer's rule, larger j by an echelon pass over D's relations; all
+    # fraction-free.
+    nums, nden = node.block
+    den = base[1]
+    reps = search.reps
+    s, least = len(held), reps[held[0]]
+    mine = {reps[p] for p in held}
+
+    def after(vals: dict[int, int], q: int) -> bool:
+        # Whether a case's representation, vals[k] / q on the terms it
+        # holds on the support, does not rank before node's block: by size,
+        # then least term, then its value, and on a tied value the case's
+        # block from ``_sampled_block`` as the walk ranks it.
+        if len(vals) != s:
+            return len(vals) > s
+        low = min(vals)
+        if low != least:
+            return low > least
+        if vals.keys() == mine:
+            return True
+        a, c = vals[low] * nden, nums[low] * q
+        if a != c:
+            return (a > c) == (q > 0)
+        order = chain(sorted(vals), reps)
+        block = _sampled_block(base, search, _pivot_set(search, order))
+        return not _ranks_before(_key(block), node.key)
+
+    if not after(target, den):
+        return False
+    get = target.get
+    mask = sum(1 << k for k in target)
+    for rel, support, _, weights in search.dependent_classes:
+        # j = 1: one case per distinct ratio t * w, zero on its keys.
+        shared = (mask & support).bit_count()
+        added = len(rel) - shared
+        if len(target) + added - shared > s:
+            continue
+        firsts: dict[int, int] = {}
+        counts: dict[int, int] = {}
+        for k, w in weights:
+            t = get(k)
+            if t is not None:
+                ratio = t * w
+                if ratio in firsts:
+                    counts[ratio] = counts.get(ratio, 1) + 1
+                else:
+                    firsts[ratio] = k
+        for ratio, z in firsts.items():
+            if len(target) + added - counts.get(ratio, 1) <= s:
+                t, r = target[z], rel[z]
+                vals = {
+                    k: v for k in target.keys() | rel.keys()
+                    if (v := get(k, 0) * r - t * rel.get(k, 0))
+                }
+                if not after(vals, r * den):
+                    return False
+    for (r1, *_), (r2, *_) in combinations(search.dependent_classes, 2):
+        # j = 2: the target less (x r1 + y r2) / det, zero on z1 and z2.
+        keys = target.keys() | r1.keys() | r2.keys()
+        zs = sorted((r1.keys() | r2.keys()) - {max(r1), max(r2)})
+        for z1, z2 in combinations(zs, 2):
+            a1, a2, b1, b2 = r1.get(z1, 0), r1.get(z2, 0), r2.get(z1, 0), r2.get(z2, 0)
+            det = a1 * b2 - b1 * a2
+            if det:
+                t1, t2 = get(z1, 0), get(z2, 0)
+                x, y = t1 * b2 - b1 * t2, a1 * t2 - t1 * a2
+                vals = {
+                    k: v for k in keys
+                    if (v := get(k, 0) * det - x * r1.get(k, 0) - y * r2.get(k, 0))
+                }
+                if not after(vals, det * den):
+                    return False
+    for j in range(3, len(search.dependent_classes) + 1):
+        for group in combinations(search.dependent_classes, j):
+            rels = [rel for rel, *_ in group]
+            zs = sorted(set().union(*rels) - {max(rel) for rel in rels})
+            for cols in combinations(zs, j):
+                pivots = _echelon([dict(rel) for rel in rels], cols)
+                if len(pivots) == j:
+                    point, q = _cleared(base, pivots)
+                    vals = {k: v for k, v in point.items() if k in search.coords}
+                    if not after(vals, q):
+                        return False
+    return True
 
 
 def _sample_bases(
@@ -521,7 +655,10 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     most as many parallel classes as the best has terms, each class of
     commutators with parallel integer coordinates over the block's basis
     taken at its least index, and is tried only when there are no more such
-    sets than meter steps left.  Since the best is replaced only by a block
+    sets than meter steps left.  When the bases of classes, counted from the
+    block's dependent classes, are fewer than the sets walked below the
+    best's size, it solves the element on each basis instead, which decides
+    the same.  Since the best is replaced only by a block
     that ranks before it, the stop changes no result.  All moves of one
     relation are sized in one pass over its ratio weights, L / v for each
     of its values v with L the lcm of their sizes: a move cancels exactly

@@ -363,6 +363,38 @@ def test_identities_verify_checks_identity_expansion(capsys, monkeypatch):
     assert "grade 6" in err
 
 
+def test_identities_verify_expands_each_commutator_once(capsys, monkeypatch):
+    # --verify expands each commutator once per run, through expand_nested,
+    # however many identities hold it.  The last identity, corrupted on a
+    # commutator an earlier identity already expanded, still exits 2.
+    report = identities.identities_and_basis(7)
+    held = {c for ident in report.identities for c in ident.terms}
+    expanded = []
+    real_expand = cli.expand_nested
+
+    def counted(leaves):
+        expanded.append(leaves)
+        return real_expand(leaves)
+
+    monkeypatch.setattr(cli, "expand_nested", counted)
+    code, _, _ = run_cli(capsys, "identities", "--grade", "7", "--verify")
+    assert code == 0
+    assert sorted(expanded) == sorted(held)
+
+    last = report.identities[-1]
+    earlier = {c for ident in report.identities[:-1] for c in ident.terms}
+    changed = dict(last.terms)
+    changed[min(c for c in changed if c in earlier)] += 1
+    corrupted = dataclasses.replace(
+        report, identities=report.identities[:-1] + (LieExpr(changed),)
+    )
+    monkeypatch.setattr(cli, "identities_and_basis", lambda m: corrupted)
+    code, out, err = run_cli(capsys, "identities", "--grade", "7", "--verify")
+    assert code == 2
+    assert out == ""
+    assert "grade 7" in err
+
+
 def test_identities_verify_checks_novel_count(capsys, monkeypatch):
     real = cli.lifted_identities
     monkeypatch.setattr(cli, "lifted_identities", lambda m: real(m)[1:])

@@ -10,7 +10,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -949,17 +949,43 @@ def _solve(columns, rhs):
     return [row[n] for row in rows[:n]]
 
 
+def _spanning_words(columns):
+    # Words whose rows span the row space of the columns' word expansions,
+    # found greedily by forward elimination in Fractions.
+    echelon, words = [], []
+    for w in sorted(set().union(*columns)):
+        row = [F(col.get(w, 0)) for col in columns]
+        for p, pivot in echelon:
+            if row[p]:
+                f = row[p] / pivot[p]
+                row = [a - f * b for a, b in zip(row, pivot)]
+        p = next((j for j, v in enumerate(row) if v), None)
+        if p is not None:
+            echelon.append((p, row))
+            words.append(w)
+    return set(words)
+
+
 def _first_by_every_support(search, block, node_key):
     # Whether some block of the same element ranks before node_key, found
     # by solving over the word expansions on every set of the block's
     # commutators.  A set of dependent commutators is left out: a
     # representation on it has as many terms as the set, more than one on
-    # an independent subset spanning the element, which is solved too.
+    # an independent subset spanning the element, which is solved too.  So
+    # is a set of more commutators than the block has terms: a block on it
+    # ranks after the block's by size.  The element lies in the span of the
+    # commutators' expansions, so solving on words whose rows span their
+    # row space solves on every word.
     comms = search.comms
     expansions = [expand_nested(c).terms for c in comms]
+    words = _spanning_words(expansions)
+    expansions = [{w: v for w, v in e.items() if w in words} for e in expansions]
     nums, den = block
     target = expand_lie(LieExpr({comms[i]: F(v, den) for i, v in nums.items()})).terms
+    target = {w: v for w, v in target.items() if w in words}
     for mask in range(1 << len(comms)):
+        if mask.bit_count() > len(nums):
+            continue
         chosen = [i for i in range(len(comms)) if mask >> i & 1]
         x = _solve([expansions[i] for i in chosen], target)
         if x is not None:
@@ -1018,16 +1044,18 @@ def _tried_blocks(search, rng, most):
 
 
 def test_proof_matches_enumerating_every_support():
-    # On random blocks of every search block at grades 4-6, the proof holds
+    # On random blocks of every search block at grades 4-7, the proof holds
     # for a block exactly when no block of the same element, on any set of
     # the block's commutators, ranks before it.  The blocks tried are the
-    # basis rewrite, its descent, and each single move from those.
+    # basis rewrite, its descent, and each single move from those.  Grade
+    # 7's blocks of 10 commutators have 1 024 supports each, so fewer random
+    # blocks are drawn there; its proofs take both sides.
     rng = random.Random(4017)
     outcomes = {True: 0, False: 0}
-    for m in (4, 5, 6):
+    for m, draws in ((4, 12), (5, 12), (6, 12), (7, 3)):
         for search in compaction._search_blocks(m).values():
             n = len(search.comms)
-            for _ in range(12):
+            for _ in range(draws):
                 base, tried = _tried_blocks(search, rng, n)
                 for block in tried:
                     node = compaction._node({}, block)
@@ -1105,29 +1133,18 @@ def test_parallel_classes_are_the_least_index_of_each_line():
     assert counts[10] == [7, 22, 41, 50, 41, 22, 7]
 
 
-def test_class_walk_matches_the_commutator_walk():
-    # On random blocks of every search block at grades 4-8, and on the
-    # seeds and results of the grade 4-8 series terms, the proof that walks
-    # parallel classes answers as the walk over every support commutator.
-    # The blocks tried are the basis rewrite, its descent and each single
-    # move from those, which often put a term on a later member of a class.
-    rng = random.Random(4021)
-    outcomes = {True: 0, False: 0, "later member": 0}
-
-    def check(node, base, search):
-        got = compaction._proven_first(node, base, search, 1 << 40)
-        assert got == _commutator_walk(node, base, search), (search.comms[0], node.key)
-        outcomes[got] += 1
-        outcomes["later member"] += any(
-            i in search.coords and i not in search.reps for i in node.block[0]
-        )
-
+def _proof_inputs(rng):
+    # (node, base, search) for random blocks of every search block at
+    # grades 4-8, and for the seeds and results of the grade 4-8 series
+    # terms.  The random blocks are the basis rewrite, its descent and each
+    # single move from those, which often put a term on a later member of a
+    # class.
     for m in range(4, 9):
         for search in compaction._search_blocks(m).values():
             for _ in range(6):
                 base, tried = _tried_blocks(search, rng, min(len(search.comms), 4))
                 for block in tried:
-                    check(compaction._node({}, block), base, search)
+                    yield compaction._node({}, block), base, search
         blocks = compaction._search_blocks(m)
         out = compact_bch_term(m)
         for key, search in blocks.items():
@@ -1141,8 +1158,137 @@ def test_class_walk_matches_the_commutator_walk():
                 search.index[c]: v for c, v in out.terms.items() if c in search.index
             })
             for block in [start, best] + [identities._cleared(start, r) for r in search.rules]:
-                check(compaction._node({}, block), base, search)
+                yield compaction._node({}, block), base, search
+
+
+def test_class_walk_matches_the_commutator_walk():
+    # On the proof inputs of grades 4-8, the proof that walks parallel
+    # classes answers as the walk over every support commutator.
+    outcomes = {True: 0, False: 0, "later member": 0}
+    for node, base, search in _proof_inputs(random.Random(4021)):
+        got = compaction._proven_first(node, base, search, 1 << 40)
+        assert got == _commutator_walk(node, base, search), (search.comms[0], node.key)
+        outcomes[got] += 1
+        outcomes["later member"] += any(
+            i in search.coords and i not in search.reps for i in node.block[0]
+        )
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_dependent_classes_are_the_relations_of_dependent_reps():
+    # Each class is a unit one, a basis commutator with coordinates {i: 1},
+    # or a dependent one, whose relation is +1 on its dependent commutator:
+    # what the dependent side of the proof solves on.
+    for m in range(4, 11):
+        for search in compaction._search_blocks(m).values():
+            deps = [max(rel) for rel, *_ in search.dependent_classes]
+            assert deps == [i for i in search.reps if search.dependents >> i & 1]
+            for i in search.reps:
+                if i not in deps:
+                    assert search.coords[i] == {i: 1}, (m, i)
+            for rel, *_ in search.rels:
+                assert rel[max(rel)] == 1, (m, rel)
+    blocks = sorted(compaction._search_blocks(8).items())
+    assert [len(b.dependent_classes) for _, b in blocks] == [2, 4, 6, 4, 2]
+
+
+def _proof_args(node, base, search):
+    # The target and held positions both sides of the proof take, or None
+    # where one of _proven_first's early returns decides.
+    nums = node.block[0]
+    target = {i: v for i, v in base[0].items() if i in search.coords}
+    held = [p for p, i in enumerate(search.reps) if i in nums]
+    if not target or len(held) < sum(i in search.coords for i in nums):
+        return None
+    return target, held
+
+
+def _basis_inputs(rng):
+    # (node, base, search) for the blocks on random bases of classes, from
+    # random blocks of every search block at grades 6-8: each is one case of
+    # the dependent side, so a case that alone refutes another is met.
+    for m in (6, 7, 8):
+        for search in compaction._search_blocks(m).values():
+            for _ in range(4):
+                base, _ = _tried_blocks(search, rng, len(search.comms))
+                for _ in range(12):
+                    order = list(search.reps)
+                    rng.shuffle(order)
+                    cols = compaction._pivot_set(search, order)
+                    block = compaction._sampled_block(base, search, cols)
+                    yield compaction._node({}, block), base, search
+
+
+def test_dependent_side_matches_the_class_walk(monkeypatch):
+    # Both sides of the proof, called directly, answer alike and as
+    # _proven_first with no guard, on the proof inputs of grades 4-8 and on
+    # blocks on random bases of classes at grades 6-8.  Grade 8's middle
+    # blocks have 4 and 6 dependent classes, and a block proven there
+    # solved every case, by echelon for j >= 3.  Ties are counted too: the
+    # blocks the walk ranks whose value at node's least term differs from
+    # node's, which the dependent side settles there, and the dependent
+    # side's ties that fall back to ranking _sampled_block, the only call it
+    # makes of it.
+    outcomes = {True: 0, False: 0, "settled": 0, "fallback": 0}
+    proven = set()
+    ranked = []
+    real = compaction._sampled_block
+
+    def recorded(*args):
+        ranked.append(real(*args))
+        return ranked[-1]
+
+    rng = random.Random(4023)
+    inputs = list(chain(_proof_inputs(rng), _basis_inputs(rng)))
+    monkeypatch.setattr(compaction, "_sampled_block", recorded)
+    for node, base, search in inputs:
+        args = _proof_args(node, base, search)
+        if args is None:
+            continue
+        nums, den = node.block
+        least = search.reps[args[1][0]]
+        ranked.clear()
+        walked = compaction._walked_sets(node, base, search, *args)
+        outcomes["settled"] += sum(
+            block[0].get(least, 0) * den != nums[least] * block[1] for block in ranked
+        )
+        ranked.clear()
+        solved = compaction._solved_cases(node, base, search, *args)
+        outcomes["fallback"] += len(ranked)
+        got = compaction._proven_first(node, base, search, 1 << 40)
+        assert walked == solved == got, (search.comms[0], node.key)
+        outcomes[got] += 1
+        if got:
+            proven.add(len(search.dependent_classes))
+    assert min(outcomes[True], outcomes[False]) >= 50, outcomes
+    assert outcomes["settled"] >= 20 and outcomes["fallback"] >= 1, outcomes
+    assert {4, 6} <= proven, proven
+
+
+def test_library_pass_takes_both_proof_sides(monkeypatch):
+    # One library-shaped pass, thirty seeded grade 6-8 expressions at
+    # budget 1000, runs the proof on both sides, each proof on the dependent
+    # side exactly when its comb(n, d) cases are fewer than the sets the
+    # walk visits below s.
+    taken = []
+
+    def wrap(name):
+        real = getattr(compaction, name)
+
+        def recorded(node, base, search, target, held):
+            n, s = len(search.reps), len(held)
+            cases = math.comb(n, len(search.dependent_classes))
+            taken.append((name, cases < sum(math.comb(n, k) for k in range(s))))
+            return real(node, base, search, target, held)
+
+        monkeypatch.setattr(compaction, name, recorded)
+
+    wrap("_walked_sets")
+    wrap("_solved_cases")
+    for m, expr in _seeded_exprs(8021, 30, (6, 7, 8)):
+        compact_reduce(expr, m, 1000)
+    assert {name for name, _ in taken} == {"_walked_sets", "_solved_cases"}
+    assert all((name == "_solved_cases") == fewer for name, fewer in taken)
 
 
 def test_grade_eight_proves_every_block(monkeypatch):
