@@ -42,11 +42,12 @@ representations of the same element, over parallel classes: the
 commutators whose coordinates span one line, each taken as its least index,
 which ranks first among them.  The proof is tried only when the independent
 sets of at most as many classes as the best has terms number no more than
-the meter steps left.  It walks those sets, or, when the C(n, d) bases of
-the n classes counted from the d dependent ones are fewer than the sets it
-would walk below that size, solves the element on every basis instead: the
-matroid dual of the walk, splitting each basis as Lee and Brickell's
-information-set step does (EUROCRYPT 1988).  Both sides decide the same.
+the meter steps left.  It walks those sets, or, when d, the dependent
+classes among the n, are at most two and the C(n, d) bases of classes
+counted from them are fewer than the sets it would walk below that size,
+solves the element on every basis instead: the matroid dual of the walk,
+splitting each basis as Lee and Brickell's information-set step does
+(EUROCRYPT 1988).  Both sides decide the same.
 The best is only ever replaced by a block that ranks before it, so the stop
 changes no result.  It stays exact, and it is deterministic for fixed
 inputs.
@@ -60,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, gcd, lcm
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from bchnest.identities import (
     _cleared,
@@ -182,25 +183,44 @@ def _move(block: Block, rel: dict[int, int], col: int) -> Block:
     return nums, _eliminate(nums, rel, col, block[1])
 
 
-def _step(node: _Node, rels: Sequence[Relation], table: Table) -> _Node | None:
-    # One steepest-descent step: the node of the single-relation move that
-    # ranks first, or None if none ranks before node's block.  The move
+def _ratio_groups(
+    weights: tuple[tuple[int, int], ...], get: Callable[[int], int | None]
+) -> tuple[dict[int, int], dict[int, int]]:
+    # A relation's distinct moves on a block whose values get looks up:
+    # each one's first key by its ratio t * w, and the number of keys
+    # cancelled by each that cancels more than one.  The move
     # t -> t - (t_c / r_c) * r at key c cancels exactly the shared keys k of
     # equal ratio t_k / r_k, those of equal t_k * w_k with the relation's
-    # ratio weights, and adds every key of r the block lacks; so one pass
-    # over the weights sizes all of a relation's distinct moves, each taken
-    # at the first key it cancels.  Blocks rank by size first, so only the
-    # distinct moves of the least size count; a relation is skipped when
-    # cancelling every key it shares with the block still grows it past
-    # that size.  While no move shortens the block, a move is kept only if
-    # it ranks before the block, and only at the least low met: a move
-    # changes exactly its relation's keys, so it ranks before the block iff
-    # at the least of them, low, it adds a term or leaves t - x / r with
-    # 0 < x / r != t, where t = nums[low], x = nums[col] * rel[low] and
-    # r = rel[col], and such a move also ranks before every such move of a
-    # larger low.  Only the moves kept are built, and the first in rank is
-    # the step whatever order they are met in: a function of the block's
-    # values alone, whatever its key order.
+    # ratio weights, and adds every key of r the block lacks.
+    firsts: dict[int, int] = {}
+    counts: dict[int, int] = {}
+    for k, w in weights:
+        t = get(k)
+        if t is not None:
+            ratio = t * w
+            if ratio in firsts:
+                counts[ratio] = counts.get(ratio, 1) + 1
+            else:
+                firsts[ratio] = k
+    return firsts, counts
+
+
+def _step(node: _Node, rels: Sequence[Relation], table: Table) -> _Node | None:
+    # One steepest-descent step: the node of the single-relation move that
+    # ranks first, or None if none ranks before node's block.
+    # ``_ratio_groups`` sizes all of a relation's distinct moves in one
+    # pass, each taken at the first key it cancels.  Blocks rank by size
+    # first, so only the distinct moves of the least size count; a relation
+    # is skipped when cancelling every key it shares with the block still
+    # grows it past that size.  While no move shortens the block, a move is
+    # kept only if it ranks before the block, and only at the least low
+    # met: a move changes exactly its relation's keys, so it ranks before
+    # the block iff at the least of them, low, it adds a term or leaves
+    # t - x / r with 0 < x / r != t, where t = nums[low],
+    # x = nums[col] * rel[low] and r = rel[col], and such a move also ranks
+    # before every such move of a larger low.  Only the moves kept are
+    # built, and the first in rank is the step whatever order they are met
+    # in: a function of the block's values alone, whatever its key order.
     nums = node.block[0]
     get = nums.get
     mask = sum(1 << k for k in nums)
@@ -212,18 +232,7 @@ def _step(node: _Node, rels: Sequence[Relation], table: Table) -> _Node | None:
         added = len(rel) - shared
         if added - shared > least:
             continue
-        # Each distinct move's first key by its ratio t * w, and the number
-        # of keys cancelled by each move that cancels more than one.
-        firsts: dict[int, int] = {}
-        counts: dict[int, int] = {}
-        for k, w in weights:
-            t = get(k)
-            if t is not None:
-                ratio = t * w
-                if ratio in firsts:
-                    counts[ratio] = counts.get(ratio, 1) + 1
-                else:
-                    firsts[ratio] = k
+        firsts, counts = _ratio_groups(weights, get)
         for ratio, col in firsts.items():
             delta = added - counts.get(ratio, 1)
             if delta > least:
@@ -411,12 +420,13 @@ def _proven_first(
     # terms.  Both sides below find every such T.  ``_walked_sets`` walks
     # the independent sets of at most s classes; ``_solved_cases`` solves
     # every basis of classes, counted from the d dependent classes.  The
-    # dependent side decides when its comb(n, d) cases are fewer than the
-    # sets the walk visits below s.  Not tried, and False, when the sets to
-    # walk may outnumber allowance.  The guard keeps the walk's count
-    # although the dependent side may solve fewer cases: a guard on the
-    # cases would try proofs the walk never did, so searches would stop at
-    # other meter steps and reach other samples, with the same results.
+    # dependent side decides when d is at most 2 and its comb(n, d) cases
+    # are fewer than the sets the walk visits below s.  Not tried, and
+    # False, when the sets to walk may outnumber allowance.  The guard
+    # keeps the walk's count although the dependent side may solve fewer
+    # cases: a guard on the cases would try proofs the walk never did, so
+    # searches would stop at other meter steps and reach other samples,
+    # with the same results.
     n = len(search.reps)
     nums = node.block[0]
     s = sum(i in search.coords for i in nums)
@@ -429,7 +439,8 @@ def _proven_first(
     held = [p for p, i in enumerate(search.reps) if i in nums]
     if len(held) < s:
         return False
-    if comb(n, len(search.dependent_classes)) < walked:
+    d = len(search.dependent_classes)
+    if d <= 2 and comb(n, d) < walked:
         return _solved_cases(node, base, search, target, held)
     return _walked_sets(node, base, search, target, held)
 
@@ -490,8 +501,9 @@ def _solved_cases(
     node: _Node, base: Block, search: _SearchBlock, target: dict[int, int],
     held: list[int],
 ) -> bool:
-    # The proof from the dependent side.  Classes are r unit ones, the
-    # basis commutators, and d dependent ones, each with a relation +1 on
+    # The proof from the dependent side, for d <= 2.  Classes are r unit
+    # ones, the basis commutators, and d dependent ones, each with a
+    # relation +1 on
     # its dependent commutator, and base is zero on every dependent
     # commutator.  So a representation is the target less mu_D times the
     # relation of each dependent class D: -mu_D on D, the rest on basis
@@ -505,9 +517,14 @@ def _solved_cases(
     # dependent classes lies on a dependent set: moving along its kernel
     # clears one of those classes, so a case with fewer dependent classes
     # has strictly fewer terms.  So both sides decide exactly the same.
-    # j = 1 groups Z by ratio weights as ``_step`` does, j = 2 solves by
-    # Cramer's rule, larger j by an echelon pass over D's relations; all
-    # fraction-free.
+    # j = 1 takes Z from ``_ratio_groups`` and j = 2 solves by Cramer's
+    # rule, both fraction-free; on grade 7's proofs they take about half
+    # the time an echelon pass per case would.  Blocks of more dependent
+    # classes keep the walk, which proves them in the series compactions
+    # through grade 9: grade 8's 11-class blocks (d = 4) have fewer cases
+    # than sets only from five terms, where the walk's 1 024 sets exceed
+    # the library workload's budget of 1 000, so solving j >= 3 would speed
+    # no measured search.
     nums, nden = node.block
     den = base[1]
     reps = search.reps
@@ -538,21 +555,13 @@ def _solved_cases(
     get = target.get
     mask = sum(1 << k for k in target)
     for rel, support, _, weights in search.dependent_classes:
-        # j = 1: one case per distinct ratio t * w, zero on its keys.
+        # j = 1: one case per distinct move of the relation, of at most s
+        # terms, zero on the keys it cancels.
         shared = (mask & support).bit_count()
         added = len(rel) - shared
         if len(target) + added - shared > s:
             continue
-        firsts: dict[int, int] = {}
-        counts: dict[int, int] = {}
-        for k, w in weights:
-            t = get(k)
-            if t is not None:
-                ratio = t * w
-                if ratio in firsts:
-                    counts[ratio] = counts.get(ratio, 1) + 1
-                else:
-                    firsts[ratio] = k
+        firsts, counts = _ratio_groups(weights, get)
         for ratio, z in firsts.items():
             if len(target) + added - counts.get(ratio, 1) <= s:
                 t, r = target[z], rel[z]
@@ -578,17 +587,6 @@ def _solved_cases(
                 }
                 if not after(vals, det * den):
                     return False
-    for j in range(3, len(search.dependent_classes) + 1):
-        for group in combinations(search.dependent_classes, j):
-            rels = [rel for rel, *_ in group]
-            zs = sorted(set().union(*rels) - {max(rel) for rel in rels})
-            for cols in combinations(zs, j):
-                pivots = _echelon([dict(rel) for rel in rels], cols)
-                if len(pivots) == j:
-                    point, q = _cleared(base, pivots)
-                    vals = {k: v for k, v in point.items() if k in search.coords}
-                    if not after(vals, q):
-                        return False
     return True
 
 
@@ -655,10 +653,10 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
     most as many parallel classes as the best has terms, each class of
     commutators with parallel integer coordinates over the block's basis
     taken at its least index, and is tried only when there are no more such
-    sets than meter steps left.  When the bases of classes, counted from the
-    block's dependent classes, are fewer than the sets walked below the
-    best's size, it solves the element on each basis instead, which decides
-    the same.  Since the best is replaced only by a block
+    sets than meter steps left.  When the block has at most two dependent
+    classes and the bases of classes, counted from them, are fewer than the
+    sets walked below the best's size, it solves the element on each basis
+    instead, which decides the same.  Since the best is replaced only by a block
     that ranks before it, the stop changes no result.  All moves of one
     relation are sized in one pass over its ratio weights, L / v for each
     of its values v with L the lcm of their sizes: a move cancels exactly
