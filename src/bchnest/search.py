@@ -47,7 +47,11 @@ classes among the n, are at most two and the C(n, d) bases of classes
 counted from them are fewer than the sets it would walk below that size,
 solves the element on every basis instead: the matroid dual of the walk,
 splitting each basis as Lee and Brickell's information-set step does
-(EUROCRYPT 1988).  Both sides decide the same.
+(EUROCRYPT 1988).  Both sides decide the same.  Equivalent blocks agree off
+the support, so the dependent side ranks each basis's representation by its
+values on the support against the best's there and builds no block; the
+walk, which has no values on hand, ranks a tie by the block
+``_sampled_block`` clears for its set.
 The best is only ever replaced by a block that ranks before it, so the stop
 changes no result.  It stays exact, and it is deterministic for fixed
 inputs.
@@ -101,11 +105,11 @@ class _SearchBlock(NamedTuple):
     Its commutators in lex order and each one's index there, its identities
     as relations in the report's order, the pivot rows by index of the
     basis rewrite (the identities by dependent commutator) and of the
-    grade-4 and grade-6 tail rules, the indices the relations touch in
-    order, and the bitmask of their dependent commutators.  A relation's
-    dependent commutator is its greatest index, the top bit of its support.
-    coords holds each touched index's coordinates over the touched basis
-    commutators, up to a positive factor, in index order: a basis
+    grade-4 and grade-6 tail rules, and the bitmask of their dependent
+    commutators.  A relation's dependent commutator is its greatest index,
+    the top bit of its support.  coords holds each index the relations
+    touch, in increasing order, with its coordinates over the touched basis
+    commutators, up to a positive factor: a basis
     commutator is a unit vector, a dependent one minus the rest of its
     relation.  reps holds, in increasing order, the least index of each
     class of parallel coordinates, those with one primitive vector up to
@@ -116,7 +120,6 @@ class _SearchBlock(NamedTuple):
     index: dict[Leaves, int]
     rels: tuple[Relation, ...]
     rules: tuple[dict[int, dict[int, int]], ...]
-    support: tuple[int, ...]
     dependents: int
     coords: dict[int, dict[int, int]]
     reps: tuple[int, ...]
@@ -325,7 +328,7 @@ def _search_blocks(m: int) -> dict[int, _SearchBlock]:
         reps = tuple(classes.values())
         by_dependent = {max(rel[0]): rel for rel in rels}
         blocks[key] = _SearchBlock(
-            tuple(comms[key]), index, rels, rules, support, dependents, coords,
+            tuple(comms[key]), index, rels, rules, dependents, coords,
             reps, tuple(by_dependent[i] for i in reps if i in by_dependent),
         )
     return blocks
@@ -362,7 +365,7 @@ def _sample_cols(samples: _Samples, search: _SearchBlock, k: int) -> int:
     if k >= len(samples):
         with _LEARNING:
             while len(samples) <= k:
-                perm = list(search.support)
+                perm = list(search.coords)
                 samples.rng.shuffle(perm)
                 samples.append(_pivot_set(search, perm))
     return samples[k]
@@ -374,9 +377,9 @@ def _pivot_set(search: _SearchBlock, order: Iterable[int]) -> int:
     # picks by order.  By matroid duality they are the pivot columns an
     # echelon pass over the block's relations takes in the reverse order.
     # An index repeated in order is dependent the second time.
-    rank = len(search.support) - len(search.rels)
+    rank = len(search.coords) - len(search.rels)
     rows: dict[int, dict[int, int]] = {}
-    cols = sum(1 << i for i in search.support)
+    cols = sum(1 << i for i in search.coords)
     for i in order:
         if len(rows) == rank:
             break
@@ -398,7 +401,7 @@ def _sampled_block(base: Block, search: _SearchBlock, cols: int) -> Block:
         if not cols >> (support.bit_length() - 1) & 1
     ]
     basis_cols = cols & ~search.dependents
-    pivots = _echelon(free, (i for i in search.support if basis_cols >> i & 1))
+    pivots = _echelon(free, (i for i in search.coords if basis_cols >> i & 1))
     return _cleared(base, pivots)
 
 
@@ -418,15 +421,16 @@ def _proven_first(
     # starts below node's least term, or starts there and its block ranks
     # before node's: a representation on a dependent set has one with fewer
     # terms.  Both sides below find every such T.  ``_walked_sets`` walks
-    # the independent sets of at most s classes; ``_solved_cases`` solves
-    # every basis of classes, counted from the d dependent classes.  The
-    # dependent side decides when d is at most 2 and its comb(n, d) cases
-    # are fewer than the sets the walk visits below s.  Not tried, and
-    # False, when the sets to walk may outnumber allowance.  The guard
-    # keeps the walk's count although the dependent side may solve fewer
-    # cases: a guard on the cases would try proofs the walk never did, so
-    # searches would stop at other meter steps and reach other samples,
-    # with the same results.
+    # the independent sets of at most s classes and ranks a tie by its set's
+    # block from ``_sampled_block``; ``_solved_cases`` solves every basis of
+    # classes, counted from the d dependent classes, and ranks each case by
+    # its values on the support against node's there.  The dependent side
+    # decides when d is at most 2 and its comb(n, d) cases are fewer than
+    # the sets the walk visits below s.  Not tried, and False, when the sets
+    # to walk may outnumber allowance.  The guard keeps the walk's count
+    # although the dependent side may solve fewer cases: a guard on the
+    # cases would try proofs the walk never did, so searches would stop at
+    # other meter steps and reach other samples, with the same results.
     n = len(search.reps)
     nums = node.block[0]
     s = sum(i in search.coords for i in nums)
@@ -503,13 +507,12 @@ def _solved_cases(
 ) -> bool:
     # The proof from the dependent side, for d <= 2.  Classes are r unit
     # ones, the basis commutators, and d dependent ones, each with a
-    # relation +1 on
-    # its dependent commutator, and base is zero on every dependent
-    # commutator.  So a representation is the target less mu_D times the
-    # relation of each dependent class D: -mu_D on D, the rest on basis
-    # commutators.  Each case is a set D of j dependent classes with j basis
-    # commutators Z whose j x j minor of D's relations is nonzero: its one
-    # representation, zero on Z, lies on the basis of classes D and the
+    # relation +1 on its dependent commutator, and base is zero on every
+    # dependent commutator.  So a representation is the target less mu_D
+    # times the relation of each dependent class D: -mu_D on D, the rest on
+    # basis commutators.  Each case is a set D of j dependent classes with j
+    # basis commutators Z whose j x j minor of D's relations is nonzero: its
+    # one representation, zero on Z, lies on the basis of classes D and the
     # units off Z.  There are sum_j C(d, j) C(r, j) = C(n, d) cases, and
     # every independent set that spans the target extends to one of these
     # bases, so they reach every T the walk can.  A representation whose
@@ -517,6 +520,12 @@ def _solved_cases(
     # dependent classes lies on a dependent set: moving along its kernel
     # clears one of those classes, so a case with fewer dependent classes
     # has strictly fewer terms.  So both sides decide exactly the same.
+    # Every block equivalent to node's agrees with base off the support, so
+    # the first difference of two such blocks' keys falls on the support: a
+    # case, vals[k] / q on the support with q made positive, ranks against
+    # node's block as it ranks against own, node's values there.  A case on
+    # node's own classes with other values occurs only when those classes
+    # are dependent, and then a case with fewer terms refutes node anyway.
     # j = 1 takes Z from ``_ratio_groups`` and j = 2 solves by Cramer's
     # rule, both fraction-free; on grade 7's proofs they take about half
     # the time an echelon pass per case would.  Blocks of more dependent
@@ -527,30 +536,15 @@ def _solved_cases(
     # no measured search.
     nums, nden = node.block
     den = base[1]
-    reps = search.reps
-    s, least = len(held), reps[held[0]]
-    mine = {reps[p] for p in held}
+    s = len(held)
+    own = _key(({i: v for i, v in nums.items() if i in search.coords}, nden))
 
-    def after(vals: dict[int, int], q: int) -> bool:
-        # Whether a case's representation, vals[k] / q on the terms it
-        # holds on the support, does not rank before node's block: by size,
-        # then least term, then its value, and on a tied value the case's
-        # block from ``_sampled_block`` as the walk ranks it.
-        if len(vals) != s:
-            return len(vals) > s
-        low = min(vals)
-        if low != least:
-            return low > least
-        if vals.keys() == mine:
-            return True
-        a, c = vals[low] * nden, nums[low] * q
-        if a != c:
-            return (a > c) == (q > 0)
-        order = chain(sorted(vals), reps)
-        block = _sampled_block(base, search, _pivot_set(search, order))
-        return not _ranks_before(_key(block), node.key)
+    def before(vals: dict[int, int], q: int) -> bool:
+        if q < 0:
+            vals, q = {k: -v for k, v in vals.items()}, -q
+        return _ranks_before(_key((vals, q)), own)
 
-    if not after(target, den):
+    if before(target, den):
         return False
     get = target.get
     mask = sum(1 << k for k in target)
@@ -569,7 +563,7 @@ def _solved_cases(
                     k: v for k in target.keys() | rel.keys()
                     if (v := get(k, 0) * r - t * rel.get(k, 0))
                 }
-                if not after(vals, r * den):
+                if before(vals, r * den):
                     return False
     for (r1, *_), (r2, *_) in combinations(search.dependent_classes, 2):
         # j = 2: the target less (x r1 + y r2) / det, zero on z1 and z2.
@@ -585,7 +579,7 @@ def _solved_cases(
                     k: v for k in keys
                     if (v := get(k, 0) * det - x * r1.get(k, 0) - y * r2.get(k, 0))
                 }
-                if not after(vals, det * den):
+                if before(vals, det * den):
                     return False
     return True
 
@@ -716,7 +710,7 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
         table: Table = {}
         best = _node(table, start)
         nums = start[0]
-        heavy = sorted(search.support, key=lambda i: abs(nums.get(i, 0)))
+        heavy = sorted(search.coords, key=lambda i: abs(nums.get(i, 0)))
         seeds = [_cleared(start, pivots) for pivots in search.rules]
         seeds.append(_sampled_block(seeds[0], search, _pivot_set(search, heavy)))
         for seed in seeds:

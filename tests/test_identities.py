@@ -1070,7 +1070,7 @@ def test_proof_matches_enumerating_every_support():
 def _commutator_walk(node, base, search):
     # The proof as it was before it walked parallel classes: the same walk
     # over every support commutator's coordinates, with no allowance.
-    support = search.support
+    support = list(search.coords)
     vectors = list(search.coords.values())
     n = len(vectors)
     held = [p for p, i in enumerate(support) if i in node.block[0]]
@@ -1118,7 +1118,7 @@ def test_parallel_classes_are_the_least_index_of_each_line():
         for search in compaction._search_blocks(m).values():
             reps = search.reps
             assert list(reps) == sorted(reps)
-            for i in search.support:
+            for i in search.coords:
                 line = [
                     r for r in reps
                     if not identities._cleared(
@@ -1225,11 +1225,11 @@ def test_dependent_side_matches_the_class_walk(monkeypatch):
     # blocks on random bases of classes at grades 6-8: the walk on every
     # block, the dependent side on those of at most two dependent classes,
     # where a block proven with one and with two solved every case.  There
-    # ties are counted too: the blocks the walk ranks whose value at node's
-    # least term differs from node's, which the dependent side settles
-    # there, and the dependent side's ties that fall back to ranking
-    # _sampled_block, the only call it makes of it.
-    outcomes = {True: 0, False: 0, "settled": 0, "fallback": 0}
+    # the blocks the walk ranks with _sampled_block are counted by their
+    # value at node's least term: those whose value differs from node's,
+    # and those that tie with node there, which the dependent side ranks by
+    # its case's values on the support.  The dependent side builds no block.
+    outcomes = {True: 0, False: 0, "settled": 0, "tied": 0}
     proven = set()
     ranked = []
     real = compaction._sampled_block
@@ -1252,6 +1252,7 @@ def test_dependent_side_matches_the_class_walk(monkeypatch):
         settled = sum(
             block[0].get(least, 0) * den != nums[least] * block[1] for block in ranked
         )
+        tied = len(ranked) - settled
         got = compaction._proven_first(node, base, search, 1 << 40)
         assert walked == got, (search.comms[0], node.key)
         d = len(search.dependent_classes)
@@ -1260,13 +1261,14 @@ def test_dependent_side_matches_the_class_walk(monkeypatch):
         ranked.clear()
         solved = compaction._solved_cases(node, base, search, *args)
         assert solved == got, (search.comms[0], node.key)
+        assert not ranked, (search.comms[0], node.key)
         outcomes["settled"] += settled
-        outcomes["fallback"] += len(ranked)
+        outcomes["tied"] += tied
         outcomes[got] += 1
         if got:
             proven.add(d)
     assert min(outcomes[True], outcomes[False]) >= 50, outcomes
-    assert outcomes["settled"] >= 20 and outcomes["fallback"] >= 1, outcomes
+    assert outcomes["settled"] >= 20 and outcomes["tied"] >= 1, outcomes
     assert {1, 2} <= proven, proven
 
 
@@ -1546,7 +1548,7 @@ def test_known_pivot_sets_change_no_result(monkeypatch):
     for key, search in compaction._search_blocks(m).items():
         rng = random.Random(m * 1009 + key)
         for cols in compaction._sampled_pivots(m, key):
-            perm = list(search.support)
+            perm = list(search.coords)
             rng.shuffle(perm)
             rows = [dict(r) for r, *_ in search.rels]
             pivots = identities._echelon(rows, reversed(perm))
@@ -1633,12 +1635,12 @@ def test_pivot_set_is_the_dual_of_the_relation_echelon():
             draws = random.Random(m * 1009 + key)
             orders = []
             for _ in range(40):
-                perm = list(search.support)
+                perm = list(search.coords)
                 draws.shuffle(perm)
                 orders.append(perm)
             n = len(search.comms)
             nums = {i: values.randint(-9, 9) for i in values.sample(range(n), n // 2)}
-            orders.append(sorted(search.support, key=lambda i: abs(nums.get(i, 0))))
+            orders.append(sorted(search.coords, key=lambda i: abs(nums.get(i, 0))))
             for order in orders:
                 rows = [dict(r) for r, *_ in search.rels]
                 pivots = identities._echelon(rows, reversed(order))
