@@ -1238,8 +1238,13 @@ def test_dependent_side_matches_the_class_walk(monkeypatch):
         ranked.append(real(*args))
         return ranked[-1]
 
-    rng = random.Random(4023)
-    inputs = list(chain(_proof_inputs(rng), _basis_inputs(rng)))
+    # Seeds 3 and 5 add five grade-8 blocks, X-count 6, that only a case
+    # of two dependent classes refutes, solved after clearing its first
+    # basis commutator from the second relation.
+    inputs = []
+    for seed in (4023, 3, 5):
+        rng = random.Random(seed)
+        inputs.extend(chain(_proof_inputs(rng), _basis_inputs(rng)))
     monkeypatch.setattr(compaction, "_sampled_block", recorded)
     for node, base, search in inputs:
         args = _proof_args(node, base, search)
