@@ -47,7 +47,9 @@ classes among the n, are at most two and the C(n, d) bases of classes
 counted from them are fewer than the sets it would walk below that size,
 solves the element on every basis instead: the matroid dual of the walk,
 splitting each basis as Lee and Brickell's information-set step does
-(EUROCRYPT 1988).  Both sides decide the same.  Equivalent blocks agree off
+(EUROCRYPT 1988).  The elimination kernel clears every such case from the
+element, one basis commutator at a time, as it clears every pivot set.
+Both sides decide the same.  Equivalent blocks agree off
 the support, so the dependent side ranks each basis's representation by its
 values on the support against the best's there and builds no block; the
 walk, which has no values on hand, ranks a tie by the block
@@ -63,9 +65,9 @@ import random
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from math import comb, gcd, lcm
-from typing import Callable, Iterable, Literal, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from bchnest.identities import (
     _cleared,
@@ -186,44 +188,25 @@ def _move(block: Block, rel: dict[int, int], col: int) -> Block:
     return nums, _eliminate(nums, rel, col, block[1])
 
 
-def _ratio_groups(
-    weights: tuple[tuple[int, int], ...], get: Callable[[int], int | None]
-) -> tuple[dict[int, int], dict[int, int]]:
-    # A relation's distinct moves on a block whose values get looks up:
-    # each one's first key by its ratio t * w, and the number of keys
-    # cancelled by each that cancels more than one.  The move
-    # t -> t - (t_c / r_c) * r at key c cancels exactly the shared keys k of
-    # equal ratio t_k / r_k, those of equal t_k * w_k with the relation's
-    # ratio weights, and adds every key of r the block lacks.
-    firsts: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    for k, w in weights:
-        t = get(k)
-        if t is not None:
-            ratio = t * w
-            if ratio in firsts:
-                counts[ratio] = counts.get(ratio, 1) + 1
-            else:
-                firsts[ratio] = k
-    return firsts, counts
-
-
 def _step(node: _Node, rels: Sequence[Relation], table: Table) -> _Node | None:
     # One steepest-descent step: the node of the single-relation move that
-    # ranks first, or None if none ranks before node's block.
-    # ``_ratio_groups`` sizes all of a relation's distinct moves in one
-    # pass, each taken at the first key it cancels.  Blocks rank by size
-    # first, so only the distinct moves of the least size count; a relation
-    # is skipped when cancelling every key it shares with the block still
-    # grows it past that size.  While no move shortens the block, a move is
-    # kept only if it ranks before the block, and only at the least low
-    # met: a move changes exactly its relation's keys, so it ranks before
-    # the block iff at the least of them, low, it adds a term or leaves
-    # t - x / r with 0 < x / r != t, where t = nums[low],
-    # x = nums[col] * rel[low] and r = rel[col], and such a move also ranks
-    # before every such move of a larger low.  Only the moves kept are
-    # built, and the first in rank is the step whatever order they are met
-    # in: a function of the block's values alone, whatever its key order.
+    # ranks first, or None if none ranks before node's block.  The move
+    # t -> t - (t_c / r_c) * r at key c cancels exactly the shared keys k of
+    # equal ratio t_k / r_k, those of equal t_k * w_k with the relation's
+    # ratio weights, and adds every key of r the block lacks; so one pass
+    # over the weights sizes all of a relation's distinct moves, each taken
+    # at the first key it cancels.  Blocks rank by size first, so only the
+    # distinct moves of the least size count; a relation is skipped when
+    # cancelling every key it shares with the block still grows it past
+    # that size.  While no move shortens the block, a move is kept only if
+    # it ranks before the block, and only at the least low met: a move
+    # changes exactly its relation's keys, so it ranks before the block iff
+    # at the least of them, low, it adds a term or leaves t - x / r with
+    # 0 < x / r != t, where t = nums[low], x = nums[col] * rel[low] and
+    # r = rel[col], and such a move also ranks before every such move of a
+    # larger low.  Only the moves kept are built, and the first in rank is
+    # the step whatever order they are met in: a function of the block's
+    # values alone, whatever its key order.
     nums = node.block[0]
     get = nums.get
     mask = sum(1 << k for k in nums)
@@ -235,7 +218,18 @@ def _step(node: _Node, rels: Sequence[Relation], table: Table) -> _Node | None:
         added = len(rel) - shared
         if added - shared > least:
             continue
-        firsts, counts = _ratio_groups(weights, get)
+        # Each distinct move's first key by its ratio t * w, and the number
+        # of keys cancelled by each move that cancels more than one.
+        firsts: dict[int, int] = {}
+        counts: dict[int, int] = {}
+        for k, w in weights:
+            t = get(k)
+            if t is not None:
+                ratio = t * w
+                if ratio in firsts:
+                    counts[ratio] = counts.get(ratio, 1) + 1
+                else:
+                    firsts[ratio] = k
         for ratio, col in firsts.items():
             delta = added - counts.get(ratio, 1)
             if delta > least:
@@ -423,11 +417,13 @@ def _proven_first(
     # terms.  Both sides below find every such T.  ``_walked_sets`` walks
     # the independent sets of at most s classes and ranks a tie by its set's
     # block from ``_sampled_block``; ``_solved_cases`` solves every basis of
-    # classes, counted from the d dependent classes, and ranks each case by
-    # its values on the support against node's there.  The dependent side
-    # decides when d is at most 2 and its comb(n, d) cases are fewer than
-    # the sets the walk visits below s.  Not tried, and False, when the sets
-    # to walk may outnumber allowance.  The guard keeps the walk's count
+    # classes, counted from the d dependent classes, by clearing the case's
+    # basis commutators from the target with the elimination kernel, one
+    # column at a time, and ranks each case by its values on the support
+    # against node's there.  The dependent side decides when d is at most 2
+    # and its comb(n, d) cases are fewer than the sets the walk visits
+    # below s.  Not tried, and False, when the sets to walk may outnumber
+    # allowance.  The guard keeps the walk's count
     # although the dependent side may solve fewer cases: a guard on the
     # cases would try proofs the walk never did, so searches would stop at
     # other meter steps and reach other samples, with the same results.
@@ -522,65 +518,49 @@ def _solved_cases(
     # has strictly fewer terms.  So both sides decide exactly the same.
     # Every block equivalent to node's agrees with base off the support, so
     # the first difference of two such blocks' keys falls on the support: a
-    # case, vals[k] / q on the support with q made positive, ranks against
-    # node's block as it ranks against own, node's values there.  A case on
-    # node's own classes with other values occurs only when those classes
-    # are dependent, and then a case with fewer terms refutes node anyway.
-    # j = 1 takes Z from ``_ratio_groups`` and j = 2 solves by Cramer's
-    # rule, both fraction-free; on grade 7's proofs they take about half
-    # the time an echelon pass per case would.  Blocks of more dependent
+    # case, its values on the support, ranks against node's block as it
+    # ranks against own, node's values there; a case of more than s terms
+    # never does.  A case on node's own classes with other values occurs
+    # only when those classes are dependent, and then a case with fewer
+    # terms refutes node anyway.  The kernel clears every case, one column
+    # at a time, so each is the target less a combination of relations,
+    # over a positive denominator in lowest terms.  j = 1 clears a basis
+    # commutator z1 of a relation rel from the target.  j = 2 clears z1
+    # from a copy of a later relation, then each basis commutator z2 left
+    # in the copy from that j = 1 case: the copy's entry at z2 is the minor
+    # on z1 and z2 up to a nonzero factor, and of a pair with a nonzero
+    # minor rel holds at least one, met as z1.  Blocks of more dependent
     # classes keep the walk, which proves them in the series compactions
     # through grade 9: grade 8's 11-class blocks (d = 4) have fewer cases
     # than sets only from five terms, where the walk's 1 024 sets exceed
     # the library workload's budget of 1 000, so solving j >= 3 would speed
     # no measured search.
     nums, nden = node.block
-    den = base[1]
     s = len(held)
     own = _key(({i: v for i, v in nums.items() if i in search.coords}, nden))
 
-    def before(vals: dict[int, int], q: int) -> bool:
-        if q < 0:
-            vals, q = {k: -v for k, v in vals.items()}, -q
-        return _ranks_before(_key((vals, q)), own)
+    def before(block: Block) -> bool:
+        return len(block[0]) <= s and _ranks_before(_key(block), own)
 
-    if before(target, den):
+    start = (target, base[1])
+    if before(start):
         return False
-    get = target.get
-    mask = sum(1 << k for k in target)
-    for rel, support, _, weights in search.dependent_classes:
-        # j = 1: one case per distinct move of the relation, of at most s
-        # terms, zero on the keys it cancels.
-        shared = (mask & support).bit_count()
-        added = len(rel) - shared
-        if len(target) + added - shared > s:
-            continue
-        firsts, counts = _ratio_groups(weights, get)
-        for ratio, z in firsts.items():
-            if len(target) + added - counts.get(ratio, 1) <= s:
-                t, r = target[z], rel[z]
-                vals = {
-                    k: v for k in target.keys() | rel.keys()
-                    if (v := get(k, 0) * r - t * rel.get(k, 0))
-                }
-                if before(vals, r * den):
-                    return False
-    for (r1, *_), (r2, *_) in combinations(search.dependent_classes, 2):
-        # j = 2: the target less (x r1 + y r2) / det, zero on z1 and z2.
-        keys = target.keys() | r1.keys() | r2.keys()
-        zs = sorted((r1.keys() | r2.keys()) - {max(r1), max(r2)})
-        for z1, z2 in combinations(zs, 2):
-            a1, a2, b1, b2 = r1.get(z1, 0), r1.get(z2, 0), r2.get(z1, 0), r2.get(z2, 0)
-            det = a1 * b2 - b1 * a2
-            if det:
-                t1, t2 = get(z1, 0), get(z2, 0)
-                x, y = t1 * b2 - b1 * t2, a1 * t2 - t1 * a2
-                vals = {
-                    k: v for k in keys
-                    if (v := get(k, 0) * det - x * r1.get(k, 0) - y * r2.get(k, 0))
-                }
-                if before(vals, det * den):
-                    return False
+    rels = [rel for rel, *_ in search.dependent_classes]
+    dependents = search.dependents
+    for a, rel in enumerate(rels):
+        for z1 in rel:
+            if dependents >> z1 & 1:
+                continue
+            one = _cleared(start, {z1: rel})
+            if before(one):
+                return False
+            for other in rels[a + 1:]:
+                pair = dict(other)
+                if z1 in pair:
+                    _eliminate(pair, rel, z1)
+                for z2 in pair:
+                    if not dependents >> z2 & 1 and before(_cleared(one, {z2: pair})):
+                        return False
     return True
 
 

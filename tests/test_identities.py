@@ -243,6 +243,37 @@ def test_integer_kernel_matches_expand_nested():
             assert [_decoded(k) for k in sorted(codes)] == sorted(w for w, _ in got)
 
 
+def test_cleared_keeps_a_positive_denominator_in_lowest_terms():
+    # Clearing columns of a block with relations that are negative there
+    # leaves a positive denominator, the block in lowest terms, and the
+    # values of Fraction arithmetic, t - (t_c / r_c) * r per pivot in order.
+    # The compaction proof ranks the cases it clears on this.
+    rng = random.Random(4027)
+
+    def nonzero(top):
+        return rng.choice([-1, 1]) * rng.randint(1, top)
+
+    for _ in range(500):
+        start = identities._to_int({
+            k: F(nonzero(30), rng.randint(1, 12))
+            for k in rng.sample(range(8), rng.randint(1, 6))
+        })
+        pivots = {}
+        for col in rng.sample(sorted(start[0]), min(2, len(start[0]))):
+            row = {k: nonzero(9) for k in rng.sample(range(8), 3)}
+            row[col] = -rng.randint(1, 9)
+            pivots[col] = row
+        nums, den = identities._cleared(start, pivots)
+        assert den > 0 and math.gcd(den, *nums.values()) == 1, (start, pivots)
+        want = {k: F(v, start[1]) for k, v in start[0].items()}
+        for col, row in pivots.items():
+            t = want.get(col, 0) / row[col]
+            for k, v in row.items():
+                want[k] = want.get(k, 0) - t * v
+        want = {k: v for k, v in want.items() if v}
+        assert {k: F(v, den) for k, v in nums.items()} == want, (start, pivots)
+
+
 # sha256 of every identity's terms for grades 2..10 in their stored key
 # order; frozen from the Fraction in-order elimination.
 IDENTITY_ORDER_PIN = "629ed7b8da933b342b5a6cd928ebb451ececba379de12c6138893075d7bab2e1"

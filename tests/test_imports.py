@@ -44,7 +44,9 @@ SEARCH_ONLY = (
     "_sampled_block",
     "_sampled_pivots",
     "_search_blocks",
+    "_solved_cases",
     "_step",
+    "_walked_sets",
     "random",
 )
 
