@@ -49,11 +49,11 @@ solves the element on every basis instead: the matroid dual of the walk,
 splitting each basis as Lee and Brickell's information-set step does
 (EUROCRYPT 1988).  The elimination kernel clears every such case from the
 element, one basis commutator at a time, as it clears every pivot set.
-Both sides decide the same.  Equivalent blocks agree off
-the support, so the dependent side ranks each basis's representation by its
-values on the support against the best's there and builds no block; the
-walk, which has no values on hand, ranks a tie by the block
-``_sampled_block`` clears for its set.
+Both sides decide the same.  Equivalent blocks agree off the support, so
+the dependent side ranks each basis's representation by its values on the
+support against the best's there and builds no block; the walk, which has
+no values on hand, ranks a tie by the block ``_sampled_block`` clears for
+its set.
 The best is only ever replaced by a block that ranks before it, so the stop
 changes no result.  It stays exact, and it is deterministic for fixed
 inputs.
@@ -423,10 +423,10 @@ def _proven_first(
     # against node's there.  The dependent side decides when d is at most 2
     # and its comb(n, d) cases are fewer than the sets the walk visits
     # below s.  Not tried, and False, when the sets to walk may outnumber
-    # allowance.  The guard keeps the walk's count
-    # although the dependent side may solve fewer cases: a guard on the
-    # cases would try proofs the walk never did, so searches would stop at
-    # other meter steps and reach other samples, with the same results.
+    # allowance.  The guard keeps the walk's count although the dependent
+    # side may solve fewer cases: a guard on the cases would try proofs the
+    # walk never did, so searches would stop at other meter steps and reach
+    # other samples, with the same results.
     n = len(search.reps)
     nums = node.block[0]
     s = sum(i in search.coords for i in nums)
@@ -528,8 +528,8 @@ def _solved_cases(
     # commutator z1 of a relation rel from the target.  j = 2 clears z1
     # from a copy of a later relation, then each basis commutator z2 left
     # in the copy from that j = 1 case: the copy's entry at z2 is the minor
-    # on z1 and z2 up to a nonzero factor, and of a pair with a nonzero
-    # minor rel holds at least one, met as z1.  Blocks of more dependent
+    # on z1 and z2 up to a nonzero factor, and every pair with a nonzero
+    # minor has a member in rel, met as z1.  Blocks of more dependent
     # classes keep the walk, which proves them in the series compactions
     # through grade 9: grade 8's 11-class blocks (d = 4) have fewer cases
     # than sets only from five terms, where the walk's 1 024 sets exceed
