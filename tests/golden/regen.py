@@ -47,6 +47,16 @@ def _cases() -> dict[str, list[str]]:
         cases[f"symbch-{grade}-{regime}.json"] = [
             "symbch", "--grade", str(grade), "--regime", regime, "--format", "json",
         ]
+    # The text and LaTeX layouts of the symmetric, identity and table
+    # documents, one small case each.
+    for ext, fmt in (("txt", "text"), ("tex", "latex")):
+        cases[f"symbch-7-compact.{ext}"] = [
+            "symbch", "--grade", "7", "--regime", "compact", "--format", fmt,
+        ]
+        cases[f"identities-6.{ext}"] = [
+            "identities", "--grade", "6", "--format", fmt,
+        ]
+        cases[f"table-8.{ext}"] = ["table", "--max-grade", "8", "--format", fmt]
     cases["bch-7-vars3.json"] = [
         "bch", "--grade", "7", "--vars", "3", "--format", "json",
     ]
