@@ -126,18 +126,12 @@ def series_latex(expr: LieExpr, style: str = "nested") -> str:
     )
 
 
-def series_json_doc(expr: LieExpr, meta: dict) -> dict:
-    return {
-        "meta": meta,
-        "terms": [
-            {"leaves": _leaf_names(leaves), "coeff": str(c)}
-            for leaves, c in expr.sorted_terms()
-        ],
-    }
-
-
 def render_series_json(expr: LieExpr, meta: dict) -> str:
-    return json.dumps(series_json_doc(expr, meta), indent=2) + "\n"
+    terms = [
+        {"leaves": _leaf_names(leaves), "coeff": str(c)}
+        for leaves, c in expr.sorted_terms()
+    ]
+    return json.dumps({"meta": meta, "terms": terms}, indent=2) + "\n"
 
 
 def parse_series_json(text: str) -> tuple[dict, LieExpr]:

@@ -30,7 +30,8 @@ the ad-prefix lifts of the grade-4 or grade-6 identities: the rules are
 those lifts' fully reduced pivot rows on the ruled commutators, which
 reproduce the published reduced rows.  Each rewrite clears the pivot
 columns of an integer copy of the expression.  The regime dispatch hands
-the compact regime to ``bchnest.search.compact_reduce``.
+the compact regime to ``bchnest.search.compact_reduce``, which this module
+imports as its last statement, once its own names are defined.
 """
 
 from __future__ import annotations
@@ -507,8 +508,6 @@ def lifted_identities(m: int) -> tuple[LieExpr, ...]:
 @lru_cache(maxsize=None)
 def compact_bch_term(m: int) -> LieExpr:
     """The plain grade-m series term after the compaction search."""
-    from bchnest.search import compact_reduce
-
     return compact_reduce(bch_term(m, 2), m)
 
 
@@ -547,8 +546,6 @@ def apply_regime(expr: LieExpr, m: int, regime: str) -> LieExpr:
         return _rewritten(expr, _tail_rows(m, 4 if regime == "grade4" else 6))
     if regime == "full":
         return full_reduce(expr, m)
-    from bchnest.search import compact_reduce
-
     return compact_reduce(expr, m)
 
 
@@ -589,12 +586,8 @@ def table_counts(
     return tuple(len(series_term(m, mode, variant)) for m in range(2, max_m + 1))
 
 
-def __getattr__(name: str) -> object:
-    # compact_reduce and its default budget live in bchnest.search, which
-    # imports this module; looked up there on first use, so that neither
-    # module's import needs the other to have finished.
-    if name in ("compact_reduce", "_COMPACT_BUDGET"):
-        from bchnest import search
-
-        return getattr(search, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Last, so that every name above is already defined when bchnest.search runs
+# its own ``from bchnest.identities import ...``.  Importing any bchnest
+# module runs bchnest/__init__.py first, which imports this module before
+# bchnest.search, so the search is never the half-run module here.
+from bchnest.search import _COMPACT_BUDGET, compact_reduce

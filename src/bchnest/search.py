@@ -606,52 +606,20 @@ def _sample_bases(
 def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieExpr:
     """Budgeted search for a same-element representation with fewer terms.
 
-    Identities never mix letter multidegrees, so the search space splits
-    into independent blocks by X-count.  Each input block is converted once
-    to integer numerators over one denominator, keyed by commutator index,
-    and seeds the search with the best of itself and its rewrites (the basis
-    rewrite, both tail-rule regimes, and a largest-coefficient-first
-    elimination), each the block with that rewrite's pivots cleared.
-    Sampled bases follow for three fifths of the block's meter share: a
-    seeded shuffle picks a basis, the block is rewritten onto it, and the
-    result is polished by steepest-descent single-relation moves.  The rest
-    of the share descends from the best, which moves it only when it is a
-    seed no sample beat or a sample whose descent the three-fifths mark cut
-    short; sampling the whole share instead was slower and changed library
-    results.  The best block is replaced only by one that ranks before it,
-    so no result block is longer than the input's or any seed's, at any
-    budget; terms no identity touches are kept as they are.  A block's
-    search ends as soon as its best, a seed or a later one, is proven to
-    rank first among the block's representations of the element, so an empty
-    best seed is not searched: the proof walks the independent sets of at
-    most as many parallel classes as the best has terms, each class of
-    commutators with parallel integer coordinates over the block's basis
-    taken at its least index, and is tried only when there are no more such
-    sets than meter steps left.  When the block has at most two dependent
-    classes and the bases of classes, counted from them, are fewer than the
-    sets walked below the best's size, it solves the element on each basis
-    instead, which decides the same.  Since the best is replaced only by a block
-    that ranks before it, the stop changes no result.  All moves of one
-    relation are sized in one pass over its ratio weights, L / v for each
-    of its values v with L the lcm of their sizes: a move cancels exactly
-    the terms whose values times weights equal those of the term it
-    clears.  A descent step skips a relation sharing too few terms with its
-    block, and builds only moves that can rank first.  Each block's search
-    keeps a table of the blocks it meets, one node per distinct value with
-    its descent step, and drops it when the block is done: a descent that
-    reaches a node stepped from before follows the stored steps, metered as
-    if taken again.  Every basis the search picks, the seed's, a sampled one
-    or one in the proof, is the lex-first independent subset of the
-    commutators' coordinates in some order; by matroid duality the
-    commutators it leaves out, its pivot set, are those an echelon pass over
-    the relations takes in the reverse order.  The k-th sampled basis of a
-    block is the same in every search, so its pivot set is learned once per
-    process, from the block's one generator.  Every pivot set is cleared one
-    way, from the basis rewrite with only the relations whose dependent
-    commutator it leaves free; a search clears each sampled one once.  What
-    the process has learned changes no result or meter.  Deterministic for
-    fixed inputs; exact; claims no optimality beyond the blocks it proves.
-    A negative budget is refused.
+    Exact: it moves only along the grade's identities, so the result is the
+    input's element.  Deterministic: identical input and budget give
+    identical output, whatever earlier calls in the process have learned.
+    At any budget, 0 included, no X-count block of the result ranks after
+    the input's block or any seed's (the basis rewrite, both tail-rule
+    regimes and a largest-coefficient-first elimination), so the result is
+    never longer than the input or any seed; terms no identity touches are
+    kept as they are.  The budget meters steps, one per sampled basis and
+    one per adopted descent step, shared among the X-count blocks by their
+    identity counts; a negative budget is refused.  A block whose best is
+    proven to rank first among all representations of its element (fewest
+    terms, then the order on indices and values) stops there, and that
+    best is a shortest one; no other optimality is claimed.  The module
+    docstring describes the design.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")

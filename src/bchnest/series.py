@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from math import factorial
 from typing import Callable, Iterator, Mapping
 
@@ -27,13 +28,16 @@ from bchnest.terms import AssocPoly, LieExpr, ONE, Generator, accumulate
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `slots` nonnegative ints summing to `total`, lex order."""
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
+    """All tuples of `slots` nonnegative ints summing to `total`, lex order.
+
+    Stars and bars: the parts are the gaps between slots - 1 bars placed
+    among total + slots - 1 places, and bars in lex order give parts in lex
+    order.
+    """
+    places = total + slots - 1
+    for bars in combinations(range(places), slots - 1):
+        edges = (-1, *bars, places)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -67,15 +71,15 @@ def bch_term(m: int, nvars: int = 2) -> LieExpr:
 def _block_sequences(
     total: int, blocks: int
 ) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Sequences of (p_i, q_i) with p_i + q_i >= 1, summing to `total`."""
-    if blocks == 1:
-        for p in range(total + 1):
-            yield ((p, total - p),)
-        return
-    for size in range(1, total - blocks + 2):
-        for p in range(size + 1):
-            for rest in _block_sequences(total - size, blocks - 1):
-                yield ((p, size - p),) + rest
+    """Sequences of (p_i, q_i) with p_i + q_i >= 1, summing to `total`.
+
+    The block sizes less one are a composition of total - blocks; each
+    block of size s then splits as (p, s - p) for every p in 0..s.
+    """
+    for less in _compositions(total - blocks, blocks):
+        sizes = [c + 1 for c in less]
+        for ps in product(*(range(s + 1) for s in sizes)):
+            yield tuple((p, s - p) for p, s in zip(ps, sizes))
 
 
 @lru_cache(maxsize=None)
@@ -89,8 +93,6 @@ def bch_term_dynkin(m: int) -> LieExpr:
     """
     if m < 1:
         raise ValueError(f"grade must be positive, got {m}")
-    if m == 1:
-        return LieExpr({(0,): ONE, (1,): ONE})
 
     def brackets() -> Iterator[tuple[tuple[int, ...], Fraction]]:
         for k in range(1, m + 1):

@@ -242,9 +242,6 @@ class LieExpr(_TermMap):
 
         return cls._from_clean(accumulate({}, canonical()))
 
-    def is_homogeneous(self) -> bool:
-        return len({len(k) for k in self.terms}) <= 1
-
 
 def expand_nested(leaves: Leaves) -> AssocPoly:
     """Word expansion of one right-nested commutator.

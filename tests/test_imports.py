@@ -89,3 +89,11 @@ def test_search_helpers_live_in_search_only():
     for name in SEARCH_ONLY:
         assert hasattr(search, name), name
         assert not hasattr(identities, name), name
+
+
+def test_identities_binds_the_search_by_import():
+    # One module-level import, not a lookup on each use.
+    names = vars(identities)
+    assert names["compact_reduce"] is search.compact_reduce
+    assert names["_COMPACT_BUDGET"] == search._COMPACT_BUDGET
+    assert "__getattr__" not in names
