@@ -1,5 +1,5 @@
-"""Each layer's refusals of empty or out-of-range input, and its shortcuts
-for empty input: calls that no other test makes."""
+"""Each layer's refusals of empty or out-of-range input and its shortcuts
+for empty input, which no other test reaches, and the grade-1 Dynkin term."""
 
 import pytest
 
@@ -20,6 +20,8 @@ CASES = {
     "multilinear_words-empty": (lambda: multilinear_words(()), ValueError),
     "multilinear_nested-one": (lambda: multilinear_nested((0,)), ValueError),
     "bch_term_dynkin-0": (lambda: bch_term_dynkin(0), ValueError),
+    # Grade 1 takes no branch of its own: the blocks (1,0) and (0,1) give X + Y.
+    "bch_term_dynkin-1": (lambda: bch_term_dynkin(1), LieExpr({(0,): 1, (1,): 1})),
     "log_product-one-var": (lambda: log_product(3, 1), ValueError),
     "ad_power-negative": (lambda: ad_power(0, E, -1), ValueError),
     "symmetric_bch_term-0": (lambda: symmetric_bch_term(0), ValueError),
@@ -43,7 +45,3 @@ def test_refusal_or_shortcut(name):
     else:
         assert call() == expected
 
-
-def test_dynkin_grade_one_comes_from_the_block_sum():
-    # Grade 1 takes no branch of its own: the blocks (1,0) and (0,1) give X + Y.
-    assert bch_term_dynkin(1) == LieExpr({(0,): 1, (1,): 1})
