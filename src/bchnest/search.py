@@ -11,11 +11,16 @@ and moves are built by that module's fraction-free kernel.  Its keys are
 small ints, each commutator's index in its block's lex order, from one
 cached table per grade; results map back to leaf tuples once per block, and
 terms no identity touches, such as three-generator ones, pass through
-unchanged.  Each block's search takes the best of its seeds, stops there if
-the rank-first proof below holds, and otherwise samples bases for three
-fifths of its meter share and spends the rest on one steepest descent from
-its best.  A sampled basis is Prange's information-set step (IRE Trans. Inf.
-Theory 8, 1962): a basis drawn at random, with its pivot set cleared, then
+unchanged.  Each block's search takes the best of its three rule seeds,
+the basis rewrite and the grade-4 and grade-6 tail-rule rewrites, and
+stops there if the rank-first proof below holds: no block ranks before a
+proven best.  Otherwise it builds its fourth seed, the
+largest-coefficient-first elimination, and tries the proof again only if
+that seed ranks first, so it stops exactly where proving the best of all
+four would.  Unproven, it samples bases for three fifths of its meter
+share and spends the rest on one steepest descent from its best.  A
+sampled basis is Prange's information-set step (IRE Trans. Inf. Theory 8,
+1962): a basis drawn at random, with its pivot set cleared, then
 descended.  Sampling stops at three fifths of the share so that the rest can
 descend from the best when its descent is unfinished: a seed no sample beat,
 or a sample the three-fifths mark cut short.  Sampling the whole share made
@@ -35,8 +40,15 @@ seeded by the grade and the X-count, owned by the list of the pivot sets
 its shuffles picked: the k-th sampled basis is the one its k-th shuffle
 picks, the same in every search, so the process learns it once, as one
 int, and the generator draws only the shuffles of samples no search has
-reached yet.  Every pivot set is cleared one way, from the basis rewrite
-with the identities the set leaves free.  A block's search
+reached yet.  A sampled block is the one block equivalent to the basis
+rewrite and zero on its pivot set, so it is linear in the basis rewrite,
+with a map that depends only on the grade, the block and the set: the
+process learns it with the set, once, as int tuples, the kernel's clearing
+of each basis commutator the set holds, over one denominator, and each
+sample is the basis rewrite's values times that map, in lowest terms.  The
+largest-coefficient seed and the proof's walk pick their pivot sets from
+the input, so they clear with the kernel, from the basis rewrite with the
+identities the set leaves free, and learn nothing.  A block's search
 stops once its best is proven to rank first among the block's
 representations of the same element, over parallel classes: the
 commutators whose coordinates span one line, each taken as its least index,
@@ -48,7 +60,8 @@ counted from them are fewer than the sets it would walk below that size,
 solves the element on every basis instead: the matroid dual of the walk,
 splitting each basis as Lee and Brickell's information-set step does
 (EUROCRYPT 1988).  The elimination kernel clears every such case from the
-element, one basis commutator at a time, as it clears every pivot set.
+element, one basis commutator at a time, as it clears the pivot sets the
+input picks.
 Both sides decide the same.  Equivalent blocks agree off the support, so
 the dependent side ranks each basis's representation by its values on the
 support against the best's there and builds no block; the walk, which has
@@ -328,28 +341,37 @@ def _search_blocks(m: int) -> dict[int, _SearchBlock]:
     return blocks
 
 
-# Held to extend a list of ``_sampled_pivots``, so that searches of one
-# block in several threads shuffle its generator in turn and learn each
-# sample index once.
+# Held to extend a list of ``_sampled_pivots`` or to learn one of its
+# clearing maps, so that searches of one block in several threads shuffle
+# its generator in turn and learn each sample index and each map once.
 _LEARNING = threading.Lock()
+
+
+# A sampled pivot set's clearing map: one positive denominator, the basis
+# commutators the set clears, in increasing order, and the image of each
+# one's unit vector over that denominator, its (index, numerator) pairs
+# flattened to one tuple.
+ClearingMap = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 class _Samples(list):
     """The pivot sets of a block's sampled bases learned so far, by index,
-    and the generator whose next shuffle picks the next one."""
+    the generator whose next shuffle picks the next one, and the clearing
+    map of each pivot set a sample has reached, by pivot set."""
 
-    __slots__ = ("rng",)
+    __slots__ = ("rng", "maps")
 
 
 @lru_cache(maxsize=None)
 def _sampled_pivots(m: int, key: int) -> _Samples:
     # The pivot set of each sampled basis of block key at grade m reached so
     # far in this process, as a bitmask, by sample index, with the block's
-    # one generator.  Threads that first call this at once may each get a
-    # list of their own, of which the cache keeps one: that loses what the
-    # others learn, never a result.
+    # one generator and the clearing maps learned.  Threads that first call
+    # this at once may each get a list of their own, of which the cache
+    # keeps one: that loses what the others learn, never a result.
     samples = _Samples()
     samples.rng = random.Random(m * 1009 + key)
+    samples.maps = {}
     return samples
 
 
@@ -363,6 +385,17 @@ def _sample_cols(samples: _Samples, search: _SearchBlock, k: int) -> int:
                 samples.rng.shuffle(perm)
                 samples.append(_pivot_set(search, perm))
     return samples[k]
+
+
+def _learned_map(samples: _Samples, search: _SearchBlock, cols: int) -> ClearingMap:
+    # Pivot set cols's clearing map, learned on first use.
+    cmap = samples.maps.get(cols)
+    if cmap is None:
+        with _LEARNING:
+            cmap = samples.maps.get(cols)
+            if cmap is None:
+                cmap = samples.maps[cols] = _clearing_map(search, cols)
+    return cmap
 
 
 def _pivot_set(search: _SearchBlock, order: Iterable[int]) -> int:
@@ -384,19 +417,58 @@ def _pivot_set(search: _SearchBlock, order: Iterable[int]) -> int:
     return cols
 
 
-def _sampled_block(base: Block, search: _SearchBlock, cols: int) -> Block:
-    # The one block equivalent to base and zero on the pivot set cols.
-    # base must be zero on every dependent commutator: a relation is +1 on
-    # its dependent commutator and otherwise on basis ones, so clearing
-    # cols may use only the relations whose dependent commutator is not in
-    # cols, and those need only clear cols' basis commutators.
+def _clearing_rows(search: _SearchBlock, cols: int) -> dict[int, dict[int, int]]:
+    # The echelon rows that clear the pivot set cols from a block zero on
+    # every dependent commutator, by column.  A relation is +1 on its
+    # dependent commutator and otherwise on basis ones, so clearing cols
+    # may use only the relations whose dependent commutator is not in cols,
+    # and those need only clear cols' basis commutators, each a pivot.
     free = [
         dict(r) for r, support, _, _ in search.rels
         if not cols >> (support.bit_length() - 1) & 1
     ]
     basis_cols = cols & ~search.dependents
-    pivots = _echelon(free, (i for i in search.coords if basis_cols >> i & 1))
-    return _cleared(base, pivots)
+    return _echelon(free, (i for i in search.coords if basis_cols >> i & 1))
+
+
+def _sampled_block(base: Block, search: _SearchBlock, cols: int) -> Block:
+    # The one block equivalent to base and zero on the pivot set cols.
+    # base must be zero on every dependent commutator.
+    return _cleared(base, _clearing_rows(search, cols))
+
+
+def _clearing_map(search: _SearchBlock, cols: int) -> ClearingMap:
+    # The map ``_mapped_block`` clears cols with: the kernel clears each
+    # basis commutator's unit vector with cols' rows once, and the images
+    # are brought to one denominator.  Clearing is linear, so it depends
+    # only on the grade, the block and cols, never on a search's input.
+    rows = _clearing_rows(search, cols)
+    images = [_cleared(({i: 1}, 1), rows) for i in rows]
+    scale = lcm(*(den for _, den in images))
+    return scale, tuple(rows), tuple(
+        tuple(chain.from_iterable((k, v * (scale // den)) for k, v in nums.items()))
+        for nums, den in images
+    )
+
+
+def _mapped_block(base: Block, cols: int, cmap: ClearingMap) -> Block:
+    # ``_sampled_block(base, search, cols)`` from cols's clearing map: base's
+    # terms off cols times the map's denominator, plus its values on cols
+    # times their images, over base's denominator times the map's, in
+    # lowest terms.  base must be zero on every dependent commutator.
+    scale, heads, images = cmap
+    nums, den = base
+    out = {k: v * scale for k, v in nums.items() if not cols >> k & 1}
+    get = out.get
+    for i, image in zip(heads, images):
+        v = nums.get(i)
+        if v:
+            pairs = iter(image)
+            for k, w in zip(pairs, pairs):
+                out[k] = get(k, 0) + v * w
+    den *= scale
+    g = gcd(den, *out.values())
+    return {k: v // g for k, v in out.items() if v}, den // g
 
 
 def _proven_first(
@@ -529,7 +601,9 @@ def _solved_cases(
     # from a copy of a later relation, then each basis commutator z2 left
     # in the copy from that j = 1 case: the copy's entry at z2 is the minor
     # on z1 and z2 up to a nonzero factor, and every pair with a nonzero
-    # minor has a member in rel, met as z1.  Blocks of more dependent
+    # minor has a member in rel, met as z1.  A pair with both members in
+    # rel is built once, with its lesser as z1: whether its minor is zero
+    # does not depend on which is cleared first.  Blocks of more dependent
     # classes keep the walk, which proves them in the series compactions
     # through grade 9: grade 8's 11-class blocks (d = 4) have fewer cases
     # than sets only from five terms, where the walk's 1 024 sets exceed
@@ -559,7 +633,9 @@ def _solved_cases(
                 if z1 in pair:
                     _eliminate(pair, rel, z1)
                 for z2 in pair:
-                    if not dependents >> z2 & 1 and before(_cleared(one, {z2: pair})):
+                    if dependents >> z2 & 1 or z2 < z1 and z2 in rel:
+                        continue
+                    if before(_cleared(one, {z2: pair})):
                         return False
     return True
 
@@ -579,9 +655,10 @@ def _sample_bases(
     # polished by descent.  Samples representations far apart in move
     # distance, which descent alone cannot reach.  The k-th basis is
     # samples' k-th pivot set, learned on first use.  Each pivot set met is
-    # cleared once, from base (zero on every dependent commutator), and met
-    # again descends from its cleared node along the stored steps, metered
-    # alike; its end was compared with a best that has only improved since.
+    # cleared once, from base (zero on every dependent commutator) by its
+    # learned clearing map, and met again descends from its cleared node
+    # along the stored steps, metered alike; its end was compared with a
+    # best that has only improved since.
     # A new best proven rank-first spends the whole share, ending the search.
     best = start
     rels = search.rels
@@ -594,13 +671,49 @@ def _sample_bases(
         sample += 1
         node = cleared.get(cols)
         if node is None:
-            node = cleared[cols] = _node(table, _sampled_block(base, search, cols))
+            block = _mapped_block(base, cols, _learned_map(samples, search, cols))
+            node = cleared[cols] = _node(table, block)
         cand = _descend(node, rels, meter, budget, table)
         if _ranks_before(cand.key, best.key):
             best = cand
             if _proven_first(best, base, search, share - meter[0]):
                 meter[0] = share
     return best
+
+
+def _heavy_seed(start: Block, base: Block, search: _SearchBlock) -> Block:
+    # The largest-coefficient-first elimination of start: the one block
+    # equivalent to it that is zero off the basis ``_pivot_set`` picks by
+    # start's values in increasing size.
+    nums = start[0]
+    heavy = sorted(search.coords, key=lambda i: abs(nums.get(i, 0)))
+    return _sampled_block(base, search, _pivot_set(search, heavy))
+
+
+def _best_seed(
+    start: Block, base: Block, search: _SearchBlock, share: int, table: Table
+) -> tuple[_Node, bool]:
+    # The node of the block's best seed, start ranking among them, and
+    # whether it is proven rank-first.  Each seed is the one block
+    # equivalent to start and zero on a rewrite's pivots, so it equals that
+    # rewrite's block: the basis rewrite, base, then the grade-4 and grade-6
+    # tail rules.  No block ranks before a best proven rank-first, so the
+    # proof is tried on the rule seeds' best first, and only when it fails
+    # is the largest-coefficient seed built, and the proof tried again if
+    # that seed ranks first.  The best and the proof's answer are those of
+    # proving the best of all four seeds.
+    best = _node(table, start)
+    for seed in (base, *(_cleared(start, pivots) for pivots in search.rules[1:])):
+        cand = _node(table, seed)
+        if _ranks_before(cand.key, best.key):
+            best = cand
+    proven = _proven_first(best, base, search, share)
+    if not proven:
+        cand = _node(table, _heavy_seed(start, base, search))
+        if _ranks_before(cand.key, best.key):
+            best = cand
+            proven = _proven_first(best, base, search, share)
+    return best, proven
 
 
 def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieExpr:
@@ -652,26 +765,18 @@ def compact_reduce(expr: LieExpr, m: int, budget: int = _COMPACT_BUDGET) -> LieE
             else:
                 out[leaves] = c  # no identity touches it
         start = _to_int(terms)
-        # Each seed is the one block equivalent to start and zero on a
-        # rewrite's pivots, so it equals that rewrite's block.  The first,
-        # the basis rewrite, is zero on every dependent commutator.
+        # The basis rewrite, zero on every dependent commutator, is the
+        # block samples and proofs start from.
+        base = _cleared(start, search.rules[0])
         table: Table = {}
-        best = _node(table, start)
-        nums = start[0]
-        heavy = sorted(search.coords, key=lambda i: abs(nums.get(i, 0)))
-        seeds = [_cleared(start, pivots) for pivots in search.rules]
-        seeds.append(_sampled_block(seeds[0], search, _pivot_set(search, heavy)))
-        for seed in seeds:
-            cand = _node(table, seed)
-            if _ranks_before(cand.key, best.key):
-                best = cand
         # Each block has its own meter share, and a best seed proven
         # rank-first, an empty one included, is not searched.
         share = max(1, budget * len(rels) // max(1, total_rels))
-        if not _proven_first(best, seeds[0], search, share):
+        best, proven = _best_seed(start, base, search, share, table)
+        if not proven:
             meter = [0]
             best = _sample_bases(
-                best, seeds[0], search, _sampled_pivots(m, key), meter, share, table
+                best, base, search, _sampled_pivots(m, key), meter, share, table
             )
             best = _descend(best, rels, meter, share, table)
         nums, den = best.block

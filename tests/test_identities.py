@@ -4,13 +4,15 @@ import copy
 import cProfile
 import gc
 import hashlib
+import importlib.util
 import math
 import pstats
 import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -1334,6 +1336,142 @@ def test_library_pass_takes_both_proof_sides(monkeypatch):
     assert all((name == "_solved_cases") == fewer for name, fewer in taken)
 
 
+def _library_inputs(seed):
+    # The (grade, expression) requests of one pass of the benchmark's
+    # reduce-library workload at seed, from its own definition.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_library_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(m, LieExpr(terms)) for m, terms in workloads.library_inputs(seed)]
+
+
+def _nonzero_minor_pairs(search):
+    # The distinct cases of two dependent classes, each pair of their
+    # relations with each pair of basis commutators on which the two
+    # relations' minor is nonzero, and how many of those cases have both
+    # commutators in the first relation.
+    rels = [rel for rel, *_ in search.dependent_classes]
+    pairs = both = 0
+    for a, rel in enumerate(rels):
+        for other in rels[a + 1:]:
+            basis = sorted(
+                i for i in rel.keys() | other.keys() if not search.dependents >> i & 1
+            )
+            for z1, z2 in combinations(basis, 2):
+                if rel.get(z1, 0) * other.get(z2, 0) != rel.get(z2, 0) * other.get(z1, 0):
+                    pairs += 1
+                    both += z1 in rel and z2 in rel
+    return pairs, both
+
+
+def test_dependent_side_builds_each_pair_case_once(monkeypatch):
+    # Over the proofs the dependent side runs in one library pass of seeds
+    # 1-2, replayed with no case refuting so that each builds every case,
+    # it builds one case of two dependent classes per pair of relations and
+    # pair of basis commutators with a nonzero minor.  A case with both
+    # commutators in the first relation was built twice before, once with
+    # each cleared first.
+    calls = []
+    real = compaction._solved_cases
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(compaction, "_solved_cases", recorded)
+    for seed in (1, 2):
+        for m, expr in _library_inputs(seed):
+            compact_reduce(expr, m, 1000)
+    monkeypatch.setattr(compaction, "_solved_cases", real)
+    # A case of one dependent class clears with that class's relation
+    # itself, a case of two with a copy of the second relation.
+    relations: list[list[dict[int, int]]] = [[]]
+    built = [0]
+    cleared = identities._cleared
+
+    def counted(start, pivots):
+        row = next(iter(pivots.values()))
+        built[0] += all(row is not rel for rel in relations[0])
+        return cleared(start, pivots)
+
+    monkeypatch.setattr(compaction, "_cleared", counted)
+    monkeypatch.setattr(compaction, "_ranks_before", lambda a, b: False)
+    distinct = doubled = 0
+    for node, base, search, target, held in calls:
+        relations[0] = [rel for rel, *_ in search.dependent_classes]
+        assert real(node, base, search, target, held)
+        pairs, both = _nonzero_minor_pairs(search)
+        distinct += pairs
+        doubled += both
+    assert len(calls) > 100 and doubled > 0
+    assert built[0] == distinct, (built[0], distinct, doubled)
+
+
+def test_heavy_seed_is_built_only_where_it_can_win(monkeypatch):
+    # With the proof on, the largest-coefficient seed is built only in the
+    # blocks whose rule seeds' best is not proven rank-first, since no block
+    # ranks before a proven best.  Each block's best seed and proof answer,
+    # and each result, term order included, equal those of building all
+    # four seeds in every block and proving their best once.
+    exprs = _seeded_exprs(8021, 30, (6, 7, 8)) + [(m, bch_term(m, 2)) for m in (6, 7, 8)]
+    real_best, real_proof, real_heavy = (
+        compaction._best_seed, compaction._proven_first, compaction._heavy_seed
+    )
+    stage: list[list | None] = [None]  # the events of the seed stage running
+
+    def proof(*args):
+        got = real_proof(*args)
+        if stage[0] is not None:
+            stage[0].append(got)
+        return got
+
+    def heavy(*args):
+        stage[0].append("heavy")
+        return real_heavy(*args)
+
+    def every_seed(start, base, search, share, table):
+        seeds = [base, *(identities._cleared(start, p) for p in search.rules[1:])]
+        seeds.append(compaction._heavy_seed(start, base, search))
+        best = compaction._node(table, start)
+        for seed in seeds:
+            cand = compaction._node(table, seed)
+            if compaction._ranks_before(cand.key, best.key):
+                best = cand
+        return best, compaction._proven_first(best, base, search, share)
+
+    def run(best_seed):
+        outcomes, events = [], []
+
+        def scoped(*args):
+            stage[0] = []
+            best, proven = best_seed(*args)
+            events.append(stage[0])
+            stage[0] = None
+            outcomes.append((best.key, proven))
+            return best, proven
+
+        monkeypatch.setattr(compaction, "_best_seed", scoped)
+        outs = [list(compact_reduce(expr, m, 1000).terms.items()) for m, expr in exprs]
+        return outs, outcomes, events
+
+    monkeypatch.setattr(compaction, "_proven_first", proof)
+    monkeypatch.setattr(compaction, "_heavy_seed", heavy)
+    got, want = run(real_best), run(every_seed)
+    assert got[:2] == want[:2]
+    assert all("heavy" in events for events in want[2])
+    kinds = {"proven by the rules": 0, "heavy built": 0, "heavy first": 0}
+    for events in got[2]:
+        if events[0]:
+            assert events == [True]
+            kinds["proven by the rules"] += 1
+        else:
+            assert events[:2] == [False, "heavy"] and len(events) <= 3
+            kinds["heavy built"] += 1
+            kinds["heavy first"] += len(events) == 3
+    assert min(kinds.values()) >= 1, kinds
+
+
 def test_grade_eight_proves_every_block(monkeypatch):
     # With the proof walking parallel classes, the grade-8 series search
     # proves all five of its blocks.  The middle one, X-count 4, is proven
@@ -1477,9 +1615,9 @@ def test_compact_search_clears_each_pivot_set_once(monkeypatch):
     # A sampled basis's cleared block depends only on its pivot columns, so
     # each block's search clears a pivot set once; before the pivot sets
     # were kept, 2 122 sampled bases here cleared 130 distinct ones.  The
-    # pivot set is recorded as handed to the clear: the rows _cleared gets
-    # from the free relations take only its basis columns, which two pivot
-    # sets can share.
+    # pivot set is recorded as handed to the learned clearing, which
+    # clears every sampled basis: the map it returns keeps only the set's
+    # basis columns, which two pivot sets can share.
     searches: list[list[int]] = []
     current: list[list[int] | None] = [None]
 
@@ -1494,15 +1632,15 @@ def test_compact_search_clears_each_pivot_set_once(monkeypatch):
         return scoped
 
     def wrap_clear(real):
-        def recorded(base, search, cols):
+        def recorded(samples, search, cols):
             if current[0] is not None:
                 current[0].append(cols)
-            return real(base, search, cols)
+            return real(samples, search, cols)
         return recorded
 
     _search_to_the_meter(monkeypatch)
     _warm_compaction(
-        monkeypatch, 7, _sample_bases=wrap_search, _sampled_block=wrap_clear
+        monkeypatch, 7, _sample_bases=wrap_search, _learned_map=wrap_clear
     )
     assert sum(map(len, searches)) > len(searches)
     assert all(len(set(cleared)) == len(cleared) for cleared in searches)
@@ -1551,6 +1689,40 @@ def test_sampled_basis_needs_no_back_substitution():
                 assert freed == ({index[c]: v for c, v in nums.items()}, den)
 
 
+def test_learned_maps_clear_as_the_kernel_does(monkeypatch):
+    # Every pivot set a sample reached at grades 6-9 has one learned
+    # clearing map, int tuples over one denominator, and the map applied to
+    # random basis rewrites gives the kernel's block for the set exactly:
+    # the same values, the same denominator and the same sorted key.
+    _search_to_the_meter(monkeypatch)
+    rng = random.Random(6031)
+    for m, expr in _seeded_exprs(6037, 8, (6, 7, 8, 9)):
+        compact_reduce(expr, m, 1000)
+    for m in range(6, 10):
+        maps = 0
+        for key, search in compaction._search_blocks(m).items():
+            samples = compaction._sampled_pivots(m, key)
+            assert samples.maps.keys() <= set(samples)
+            n = len(search.comms)
+            bases = []
+            for _ in range(3):
+                start = identities._to_int({
+                    i: F(rng.choice([v for v in range(-9, 10) if v]), rng.randint(1, 12))
+                    for i in rng.sample(range(n), rng.randint(1, n))
+                })
+                bases.append(identities._cleared(start, search.rules[0]))
+            for cols, cmap in samples.maps.items():
+                scale, heads, images = cmap
+                assert all(type(v) is int for v in chain((scale,), heads, *images))
+                for base in bases:
+                    got = compaction._mapped_block(base, cols, cmap)
+                    want = compaction._sampled_block(base, search, cols)
+                    assert got == want and got[1] == want[1], (m, key, cols)
+                    assert compaction._key(got) == compaction._key(want)
+            maps += len(samples.maps)
+        assert maps > 0, m
+
+
 def _pivot_set_counts(m: int) -> dict[int, int]:
     # How many sampled pivot sets this process knows, per block of grade m.
     return {
@@ -1592,16 +1764,18 @@ def test_known_pivot_sets_change_no_result(monkeypatch):
 
 
 def test_threads_learn_each_sample_index_once():
-    # Searches of one grade in several threads share the pivot sets the
-    # process learns.  With the thread switch interval shortened so that
-    # they interleave, each gives the lone search's result, and the lists
-    # end as the lone search left them.
+    # Searches of one grade in several threads share the pivot sets and
+    # clearing maps the process learns.  With the thread switch interval
+    # shortened so that they interleave, each gives the lone search's
+    # result, and the lists and maps end as the lone search left them.
     m = 6
     exprs = [expr for _, expr in _seeded_exprs(6013, 4, (m,))]
     compaction._sampled_pivots.cache_clear()
     want = [compact_reduce(expr, m) for expr in exprs]
     blocks = compaction._search_blocks(m)
     learned = {key: list(compaction._sampled_pivots(m, key)) for key in blocks}
+    maps = {key: dict(compaction._sampled_pivots(m, key).maps) for key in blocks}
+    assert any(maps.values())
     compaction._sampled_pivots.cache_clear()
     _pivot_set_counts(m)  # each block's list exists before the threads start
     got = [None] * len(exprs)
@@ -1622,6 +1796,7 @@ def test_threads_learn_each_sample_index_once():
     assert not any(thread.is_alive() for thread in threads)
     assert got == want
     assert {key: compaction._sampled_pivots(m, key) for key in blocks} == learned
+    assert {key: compaction._sampled_pivots(m, key).maps for key in blocks} == maps
 
 
 def test_warm_search_learns_no_pivot_set_again(monkeypatch):

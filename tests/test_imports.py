@@ -35,10 +35,14 @@ IDENTITIES_EXPORTS = (
 
 # Search helpers that tests patch, which live in bchnest.search only.
 SEARCH_ONLY = (
+    "_best_seed",
     "_descend",
+    "_heavy_seed",
+    "_learned_map",
     "_move",
     "_pivot_set",
     "_proven_first",
+    "_ranks_before",
     "_sample_bases",
     "_sample_cols",
     "_sampled_block",
